@@ -400,9 +400,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
     try:
         linter = Linter(select=select)
-        findings = linter.lint_paths(
-            [Path(p) for p in args.paths], jobs=args.jobs
-        )
+        findings = linter.lint_paths([Path(p) for p in args.paths])
         if args.write_baseline or args.update_baseline:
             baseline_path = Path(args.baseline)
             old = (
@@ -922,9 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text")
     p.add_argument("--select", action="append", metavar="RPR00x[,RPR00y]",
                    help="run only these rule ids (repeatable)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan the rule phase out over N worker processes "
-                        "(default: 1, serial)")
     p.add_argument("--baseline", default="reprolint-baseline.json",
                    help="baseline file of grandfathered findings")
     p.add_argument("--write-baseline", action="store_true",

@@ -28,7 +28,7 @@ tolerance by the test suite); the scalar path remains the readable
 specification, this module is the fast one.
 """
 
-# reprolint: hot-path — grid-evaluation kernels timed by BENCH_grid_kernel.json
+# reprolint: hot-path — grid-evaluation kernels timed by BENCH_grid_eval.json
 from __future__ import annotations
 
 from dataclasses import dataclass, fields

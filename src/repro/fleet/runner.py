@@ -141,9 +141,8 @@ def _replay_rows(
             f"{n_steps} — wrong run parameters?"
         )
     for row in rows:
-        # step() mutates state.snr_db in place (the Protocol stub body
-        # just looks pure to the hoisting analysis).
-        drift.step(state)  # reprolint: disable=RPR104
+        # step() mutates state.snr_db in place.
+        drift.step(state)
         stored_snr_db = np.asarray(row["snr_db"], dtype=float)
         if stored_snr_db.shape != state.snr_db.shape or not np.array_equal(
             stored_snr_db, state.snr_db
@@ -222,7 +221,7 @@ def run_fleet(
     rows = list(existing)
     executed = 0
     for step_index in range(len(existing), n_steps):
-        drift.step(state)  # reprolint: disable=RPR104 — mutates state
+        drift.step(state)
         report = engine.step(state, step_index=step_index)
         row = _report_row(report, state)
         if path is not None:

@@ -4,12 +4,11 @@ A self-contained AST-based invariant checker (stdlib only) enforcing the
 conventions the paper reproduction depends on. The RPR0xx tier checks one
 file at a time; the RPR1xx tier is *semantic* — a phase-1 project index
 (symbol table, imports, call graph) lets its rules follow units and
-randomness across function and module boundaries; the RPR2xx tier checks
-*concurrency and resource safety* — per-class lock summaries inferred
-from ``with self._lock:`` bodies, composed with the call graph; the
-RPR3xx tier checks *array contracts* — symbolic shape/dtype/writability
-inference over numpy code, composed with a hot-path function set seeded
-from ``# reprolint: hot-path`` markers and the benchmark call graph:
+numpy arrays across function and module boundaries; the RPR2xx tier checks
+*lock discipline* — per-class lock summaries inferred from
+``with self._lock:`` bodies, composed with the call graph; RPR301 checks
+loops on the hot path, seeded from ``# reprolint: hot-path`` markers and
+the benchmark call graph:
 
 ========  =====================================================
 RPR001    unit-suffix discipline (``_ms`` vs ``_s`` arithmetic)
@@ -18,19 +17,11 @@ RPR003    paper-constant duplication (re-hardcoded 0.224e-3, ...)
 RPR004    exception discipline (ReproError subclasses only)
 RPR005    public-API hygiene (__all__ + docstrings)
 RPR101    unit-inference dataflow across assignments/returns/call sites
-RPR102    determinism taint: stochastic functions must thread rng/seed
 RPR103    scalar Python loops over numpy arrays (vectorize or list-build)
-RPR104    loop-invariant pure calls (hoist out of hot loops)
 RPR201    lock discipline: guarded attributes accessed without the lock
 RPR202    atomicity: split check-then-act, unlocked read-modify-write
-RPR203    fork safety: no locks/files/sockets into multiprocessing workers
-RPR204    resource lifecycle: files/sockets/pools released on every path
 RPR205    blocking-call deadlines: untimed wait/get/put/recv
 RPR301    hot-loop allocation: loop-invariant array allocs on hot paths
-RPR302    dtype drift: float32/float64 mixing, int accumulators, object
-RPR303    broadcast contract: provably incompatible symbolic shapes
-RPR304    read-only-plane mutation: writes into frozen arrays (+ escapes)
-RPR305    redundant materialization: flatten vs ravel, asarray-on-array
 ========  =====================================================
 
 Run it as ``wsnlink lint [--format json] [--select RPRxxx] paths...`` or

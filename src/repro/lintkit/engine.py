@@ -4,31 +4,17 @@ The engine runs in two phases. Phase 1 collects and parses every ``.py``
 file in the batch and builds one :class:`ProjectIndex` (symbol table,
 imports, signatures) over all of them. Phase 2 runs every selected rule
 over each file's :class:`FileContext` — which carries the shared index, so
-flow-sensitive rules (RPR101–RPR104) can see across file boundaries —
-drops findings silenced by inline suppressions, and sorts what remains.
-Phase 2 can fan out over a process pool (``lint_paths(..., jobs=N)`` /
-``wsnlink lint --jobs N``): workers receive only the plain file-name list
-and rule selection, rebuild the index once each, and check disjoint file
-slices — byte-identical output to the serial path. Baseline handling and
-reporting live in their own modules; the CLI composes the pieces.
+flow-sensitive rules (RPR101, RPR103, RPR2xx, RPR301) can see across file
+boundaries — drops findings silenced by inline suppressions, and sorts
+what remains. Baseline handling and reporting live in their own modules;
+the CLI composes the pieces.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Type,
-    Union,
-)
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Type, Union
 
 from ..errors import LintError
 from .findings import Finding, Severity
@@ -172,23 +158,9 @@ class Linter:
         )
         return self._check(loaded, project)
 
-    def lint_paths(
-        self, paths: Iterable[Path], jobs: int = 1
-    ) -> List[Finding]:
-        """Findings for every python file under ``paths``, in path order.
-
-        With ``jobs > 1`` the per-file rule phase fans out over a process
-        pool: every worker builds the same phase-1 :class:`ProjectIndex`
-        from the same file list (plain path strings cross the process
-        boundary, nothing else), then checks its slice of files. Output
-        order and content are identical to the serial path.
-        """
-        if jobs < 1:
-            raise LintError(f"jobs must be >= 1, got {jobs}")
-        files = list(iter_python_files(paths))
-        if jobs > 1 and len(files) > 1:
-            return self._lint_parallel(files, jobs)
-        loaded = [self._load(path) for path in files]
+    def lint_paths(self, paths: Iterable[Path]) -> List[Finding]:
+        """Findings for every python file under ``paths``, in path order."""
+        loaded = [self._load(path) for path in iter_python_files(paths)]
         project = ProjectIndex.build(
             [
                 (record.display, record.package_relpath, record.tree)
@@ -204,102 +176,10 @@ class Linter:
                 findings.extend(self._check(record, project))
         return findings
 
-    def _lint_parallel(self, files: List[Path], jobs: int) -> List[Finding]:
-        """Fan the rule phase out over a process pool (same output order).
-
-        The parent builds the shared :class:`ProjectIndex` (and pre-warms
-        the lazy project-level analyses) *before* the pool starts, so on
-        fork platforms every worker inherits the finished phase-1 state
-        copy-on-write and pays nothing per process; on spawn platforms the
-        initializer's plain file list lets each worker rebuild it once.
-        """
-        import multiprocessing
-
-        global _WORKER_ARGS, _WORKER_STATE
-        file_names = [str(path) for path in files]
-        select = sorted(rule.rule_id for rule in self.rules)
-        processes = min(jobs, len(file_names))
-        chunksize = max(1, len(file_names) // (processes * 4))
-        _WORKER_ARGS = (file_names, select)
-        _WORKER_STATE = None
-        _worker_state()  # build + warm in the parent, pre-fork
-        try:
-            with multiprocessing.get_context().Pool(
-                processes=processes,
-                initializer=_worker_init,
-                initargs=(file_names, select),
-            ) as pool:
-                per_file = pool.map(_worker_lint_file, file_names, chunksize)
-        finally:
-            _WORKER_ARGS = None
-            _WORKER_STATE = None
-        return [finding for findings in per_file for finding in findings]
-
-
-#: Per-worker lint state: ``(file names, selected rule ids)`` seeded by the
-#: pool initializer; the heavy state (linter, parsed files, project index)
-#: is built lazily on the first task and cached alongside.
-_WORKER_ARGS: Optional[Tuple[List[str], List[str]]] = None
-_WORKER_STATE: Optional[Tuple["Linter", Dict[str, object], ProjectIndex]] = (
-    None
-)
-
-
-def _worker_init(file_names: List[str], select: List[str]) -> None:
-    """Process-pool initializer: record the batch as plain data only.
-
-    On fork platforms ``_WORKER_STATE`` arrives pre-built from the parent
-    and is kept; on spawn platforms it is ``None`` here and the first task
-    builds it from these plain arguments.
-    """
-    global _WORKER_ARGS
-    _WORKER_ARGS = (list(file_names), list(select))
-
-
-def _worker_state() -> Tuple["Linter", Dict[str, object], ProjectIndex]:
-    """This worker's linter + parsed batch + index, built once per process."""
-    global _WORKER_STATE
-    if _WORKER_STATE is None:
-        if _WORKER_ARGS is None:
-            raise LintError("lint worker used outside a pool initializer")
-        file_names, select = _WORKER_ARGS
-        linter = Linter(select=select or None)
-        records: Dict[str, object] = {
-            name: linter._load(Path(name)) for name in file_names
-        }
-        project = ProjectIndex.build(
-            [
-                (record.display, record.package_relpath, record.tree)
-                for record in records.values()
-                if isinstance(record, _ParsedFile)
-            ]
-        )
-        # Force the project-level analyses now so fork workers inherit the
-        # computed caches instead of each redoing the expensive passes.
-        project.call_graph()
-        project.purity()
-        project.units()
-        project.rng_taint()
-        project.concurrency()
-        project.shapes()
-        _WORKER_STATE = (linter, records, project)
-    return _WORKER_STATE
-
-
-def _worker_lint_file(file_name: str) -> List[Finding]:
-    """Phase-2 rule dispatch for one file inside a pool worker."""
-    linter, records, project = _worker_state()
-    record = records[file_name]
-    if isinstance(record, Finding):
-        return [record]
-    assert isinstance(record, _ParsedFile)
-    return linter._check(record, project)
-
 
 def lint_paths(
     paths: Iterable[Path],
     select: Optional[Iterable[str]] = None,
-    jobs: int = 1,
 ) -> List[Finding]:
     """Convenience wrapper: lint ``paths`` with the default rule set."""
-    return Linter(select=select).lint_paths(paths, jobs=jobs)
+    return Linter(select=select).lint_paths(paths)

@@ -1,5 +1,5 @@
 """Rule registry: importing this package registers RPR001–RPR005,
-RPR101–RPR104, RPR201–RPR205, and RPR301–RPR305.
+RPR101, RPR103, RPR201, RPR202, RPR205 and RPR301.
 
 Each rule lives in its own module named after its id; new rules register
 themselves via the :func:`repro.lintkit.rules.base.register` decorator and
@@ -8,12 +8,8 @@ The RPR1xx block is the *semantic* tier: those rules consult the phase-1
 project index (:mod:`repro.lintkit.semantic`) instead of a single file.
 The RPR2xx block is the *concurrency* tier: it additionally consults the
 per-class lock summaries (:mod:`repro.lintkit.semantic.concurrency`) to
-check lock discipline, atomicity, fork safety, resource lifecycles, and
-blocking-call deadlines. The RPR3xx block is the *array-contract* tier:
-it consults the symbolic shape/dtype/writability pass
-(:mod:`repro.lintkit.semantic.shapes`) to check hot-loop allocation,
-dtype drift, broadcast-shape contracts, read-only-plane mutation, and
-redundant materialization.
+check lock discipline, atomicity, and blocking-call deadlines. RPR301
+checks hot-path loops for loop-invariant array allocation.
 """
 
 from __future__ import annotations
@@ -26,19 +22,11 @@ from . import (  # noqa: F401  (imported for their registration side effect)
     rpr004_exceptions,
     rpr005_api,
     rpr101_unit_flow,
-    rpr102_rng_taint,
     rpr103_scalar_loops,
-    rpr104_invariant_calls,
     rpr201_lock_discipline,
     rpr202_atomicity,
-    rpr203_fork_safety,
-    rpr204_resource_lifecycle,
     rpr205_deadlines,
     rpr301_hot_alloc,
-    rpr302_dtype_drift,
-    rpr303_broadcast_contract,
-    rpr304_readonly_mutation,
-    rpr305_materialization,
 )
 
 __all__ = [

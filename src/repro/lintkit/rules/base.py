@@ -46,7 +46,7 @@ class FileContext:
     tree: ast.Module
     source: str
     #: Phase-1 symbol table over the whole lint batch, or ``None`` when a
-    #: rule is exercised standalone. Flow-sensitive rules (RPR101–RPR104)
+    #: rule is exercised standalone. Flow-sensitive rules (RPR1xx and up)
     #: return no findings without it; per-file rules ignore it.
     project: Optional["ProjectIndex"] = None
 

@@ -1,15 +1,16 @@
 """RPR301 — loop-invariant array allocation inside hot-path loops.
 
 The columnar kernels and the fleet engine are benchmarked end to end
-(``BENCH_grid_kernel.json``, ``BENCH_fleet.json``); an allocation that
+(``BENCH_grid_eval.json``, ``BENCH_fleet.json``); an allocation that
 sneaks into one of their loops — ``np.zeros`` per iteration, a hidden
 ``astype`` copy, or the list-append-then-``asarray`` build — silently
 turns an O(1)-allocation step into O(iterations) garbage pressure.
 
 A function is *hot* when its module carries a ``# reprolint: hot-path``
 marker comment, when it lives in a ``bench_*`` module in the lint batch,
-or when the project call graph reaches it from either. Inside hot
-functions the rule flags, in statement loops only:
+or when the project call graph reaches it from either
+(:func:`hot_functions`). Inside hot functions the rule flags, in
+statement loops only:
 
 * array-allocating calls (``np.zeros``, ``np.array``, ``concatenate``,
   ``.astype``/``.copy``/``.flatten``, …) whose arguments mention no name
@@ -23,16 +24,27 @@ functions the rule flags, in statement loops only:
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
+from pathlib import Path
 from typing import Iterator, Optional, Set
 
 from ..findings import Finding, Severity
 from ..semantic.arrays import numpy_call_tail
-from ..semantic.symbols import dotted_name, module_name_for
+from ..semantic.symbols import ProjectIndex, dotted_name, module_name_for
 from .base import FileContext, Rule, register
 
 __all__ = [
     "HotLoopAllocationRule",
+    "hot_functions",
+    "hot_modules",
 ]
+
+#: Loose pre-filter over whole-file text; the authoritative check matches
+#: comment *tokens* whose text starts with the directive.
+_HOT_MARKER = re.compile(r"#\s*reprolint:\s*hot-path\b")
+_HOT_MARKER_COMMENT = re.compile(r"^#\s*reprolint:\s*hot-path\b")
 
 #: numpy callables that allocate a new buffer (subset of the constructor
 #: set: lookups like ``np.unique`` / ``np.argsort`` are algorithmic work,
@@ -49,6 +61,54 @@ _ALLOC_TAILS = frozenset(
 
 #: ndarray methods that copy the receiver into a fresh buffer.
 _ALLOC_METHODS = frozenset({"astype", "copy", "flatten"})
+
+
+def hot_modules(index: ProjectIndex) -> Set[str]:
+    """Modules marked ``# reprolint: hot-path`` (source re-read lazily).
+
+    Only genuine comment tokens count — the marker spelled inside a
+    string literal (docs, rule examples) does not make a module hot.
+    """
+    hot: Set[str] = set()
+    for module in index.modules.values():
+        try:
+            text = Path(module.path).read_text(encoding="utf-8")
+        except OSError:
+            continue
+        if not _HOT_MARKER.search(text):
+            continue
+        try:
+            tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+            if any(
+                token.type == tokenize.COMMENT
+                and _HOT_MARKER_COMMENT.match(token.string)
+                for token in tokens
+            ):
+                hot.add(module.name)
+        except (tokenize.TokenError, SyntaxError):
+            continue
+    return hot
+
+
+def hot_functions(index: ProjectIndex) -> Set[str]:
+    """Functions of hot-marked or ``bench_*`` modules, plus call-graph closure."""
+    marked = hot_modules(index)
+    seeds = {
+        func.qualname
+        for func in index.functions.values()
+        if func.module in marked
+        or func.module.rsplit(".", 1)[-1].startswith("bench_")
+    }
+    graph = index.call_graph()
+    closure = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        current = frontier.pop()
+        for callee in graph.edges.get(current, ()):
+            if callee not in closure:
+                closure.add(callee)
+                frontier.append(callee)
+    return closure
 
 
 @register
@@ -91,14 +151,14 @@ class HotLoopAllocationRule(Rule):
         module_name = module_name_for(ctx.package_relpath, ctx.path)
         if ctx.project.modules.get(module_name) is None:
             return
-        shapes = ctx.project.shapes()
+        hot = ctx.project.cached("hot_functions", hot_functions)
         seen = set()
         for func in sorted(
             ctx.project.functions.values(), key=lambda f: f.qualname
         ):
             if func.module != module_name:
                 continue
-            if func.qualname not in shapes.hot_functions:
+            if func.qualname not in hot:
                 continue
             asarray_built = self._asarray_built_lists(func.node)
             for node in ast.walk(func.node):

@@ -8,24 +8,14 @@ lazily and cached on the index:
 
 * :mod:`~repro.lintkit.semantic.callgraph` — project-internal call graph with
   method resolution through annotated receivers;
-* :mod:`~repro.lintkit.semantic.purity` — side-effect inference (greatest
-  fixpoint) used to decide whether a call may be hoisted;
 * :mod:`~repro.lintkit.semantic.units` — the unit-suffix lattice plus a
   forward dataflow that propagates unit tags through assignments, returns,
   and call sites (RPR101);
-* :mod:`~repro.lintkit.semantic.taint` — determinism taint: which functions
-  transitively draw randomness, and whether they thread an ``rng``/seed
-  (RPR102);
 * :mod:`~repro.lintkit.semantic.arrays` — local inference of which names are
   numpy arrays, for the scalar-loop performance lint (RPR103);
 * :mod:`~repro.lintkit.semantic.concurrency` — per-class lock summaries:
   which attributes are locks, which attributes those locks guard, and the
-  lock scope of every access and call site (RPR201–RPR205);
-* :mod:`~repro.lintkit.semantic.shapes` — abstract interpretation inferring
-  symbolic shape, dtype, and writability (fresh / view / read-only plane)
-  for array-valued names, plus the hot-path function set seeded from
-  ``# reprolint: hot-path`` markers and the benchmark call graph
-  (RPR301–RPR305).
+  lock scope of every access and call site (RPR201, RPR202, RPR205).
 
 Everything here is stdlib-only (``ast``), like the rest of ``lintkit``.
 """
@@ -33,7 +23,6 @@ Everything here is stdlib-only (``ast``), like the rest of ``lintkit``.
 from __future__ import annotations
 
 from .concurrency import ConcurrencyIndex
-from .shapes import ShapeIndex, ShapeInfo
 from .symbols import FunctionInfo, ModuleInfo, ProjectIndex
 from .units import (
     ALLOWED_MIXES,
@@ -48,8 +37,6 @@ __all__ = [
     "ModuleInfo",
     "FunctionInfo",
     "ConcurrencyIndex",
-    "ShapeIndex",
-    "ShapeInfo",
     "UNIT_DIMENSIONS",
     "ALLOWED_MIXES",
     "unit_suffix",

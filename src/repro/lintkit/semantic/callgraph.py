@@ -3,8 +3,7 @@
 Edges connect function qualnames to the project functions/constructors they
 may call. Method calls resolve through :meth:`ProjectIndex.local_class_types`
 (``self``, annotated parameters and fields, constructor-assigned locals).
-Calls that leave the project (numpy, stdlib) are recorded separately by
-their absolute dotted name — the purity analysis whitelists those.
+Calls that leave the project (numpy, stdlib) are not recorded.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from .symbols import FunctionInfo, ProjectIndex, dotted_name
+from .symbols import FunctionInfo, ProjectIndex
 
 __all__ = [
     "CallSite",
@@ -37,8 +36,6 @@ class CallGraph:
 
     edges: Dict[str, Set[str]] = field(default_factory=dict)
     sites: Dict[str, List[CallSite]] = field(default_factory=dict)
-    external: Dict[str, Set[str]] = field(default_factory=dict)
-    _by_node: Dict[int, CallSite] = field(default_factory=dict)
 
     @classmethod
     def build(cls, index: ProjectIndex) -> "CallGraph":
@@ -55,42 +52,25 @@ class CallGraph:
         types = index.local_class_types(func)
         edges = self.edges.setdefault(func.qualname, set())
         sites = self.sites.setdefault(func.qualname, [])
-        external = self.external.setdefault(func.qualname, set())
         for node in ProjectIndex._walk_body(func.node):
             if not isinstance(node, ast.Call):
                 continue
             resolved = index.resolve_call(module.name, node, types)
-            if resolved is not None:
-                kind, qualname = resolved
-                site = CallSite(
+            if resolved is None:
+                continue
+            kind, qualname = resolved
+            sites.append(
+                CallSite(
                     caller=func.qualname, node=node, kind=kind, callee=qualname
                 )
-                sites.append(site)
-                self._by_node[id(node)] = site
-                if kind == "function":
-                    edges.add(qualname)
-                else:
-                    for ctor_name in ("__init__", "__post_init__"):
-                        ctor = index.functions.get(f"{qualname}.{ctor_name}")
-                        if ctor is not None:
-                            edges.add(ctor.qualname)
+            )
+            if kind == "function":
+                edges.add(qualname)
             else:
-                dotted = dotted_name(node.func)
-                if dotted is not None:
-                    external.add(self._absolute(module.imports, dotted))
-
-    @staticmethod
-    def _absolute(imports: Dict[str, str], dotted: str) -> str:
-        """Translate a dotted reference through the module's import table."""
-        head, _, rest = dotted.partition(".")
-        if head in imports:
-            target = imports[head]
-            return f"{target}.{rest}" if rest else target
-        return dotted
-
-    def site_for(self, node: ast.Call) -> Optional[CallSite]:
-        """The resolution recorded for this exact ``ast.Call`` node, if any."""
-        return self._by_node.get(id(node))
+                for ctor_name in ("__init__", "__post_init__"):
+                    ctor = index.functions.get(f"{qualname}.{ctor_name}")
+                    if ctor is not None:
+                        edges.add(ctor.qualname)
 
     def callers_of(self, targets: Set[str]) -> Set[str]:
         """All functions from which some target is reachable (incl. targets)."""

@@ -1,8 +1,8 @@
 """Per-class lock summaries backing the RPR2xx concurrency rules.
 
-The :class:`ConcurrencyIndex` is the third derived analysis on the phase-1
-:class:`~repro.lintkit.semantic.symbols.ProjectIndex` (after the call graph
-and purity). It answers, for every class that owns ``threading`` state:
+The :class:`ConcurrencyIndex` is a derived analysis on the phase-1
+:class:`~repro.lintkit.semantic.symbols.ProjectIndex`. It answers, for
+every class that owns ``threading`` state:
 
 * which attributes are *locks* — ``self._lock = threading.Lock()`` — and
   which other synchronization attributes alias them (a
@@ -18,12 +18,7 @@ and purity). It answers, for every class that owns ``threading`` state:
   consume;
 * every call site made while holding a class lock
   (:attr:`ConcurrencyIndex.locked_calls`), so a private helper that is
-  *only ever called with the lock held* can be recognized and not flagged;
-* which functions acquire any ``threading`` lock at all
-  (:attr:`ConcurrencyIndex.lock_acquirers`) — combined with
-  :meth:`~repro.lintkit.semantic.callgraph.CallGraph.callers_of` this
-  tells RPR203 whether a multiprocessing worker can reach a lock
-  acquisition.
+  *only ever called with the lock held* can be recognized and not flagged.
 
 Scopes are per-method: a method that takes the lock, releases it, and
 takes it again has two distinct scope ids, which is exactly the split
@@ -89,9 +84,8 @@ _SYNC_CONSTRUCTORS: Dict[str, str] = {
 #: Direct calls that hand back an open OS resource.
 _FILE_OPENERS = frozenset({"open", "io.open", "gzip.open", "bz2.open"})
 
-#: Method names that mutate their receiver in place. The purity analysis
-#: keeps its own (overlapping) list tuned for hoisting; this one is tuned
-#: for shared containers — deque/OrderedDict reordering included.
+#: Method names that mutate their receiver in place, tuned for shared
+#: containers — deque/OrderedDict reordering included.
 MUTATOR_METHODS = frozenset(
     {
         "append", "appendleft", "extend", "extendleft", "insert", "add",
@@ -155,7 +149,6 @@ class MethodSummary:
     qualname: str
     name: str
     accesses: List[AttrAccess] = field(default_factory=list)
-    acquires_lock: bool = False
 
 
 @dataclass(frozen=True)
@@ -210,10 +203,6 @@ class ConcurrencyIndex:
         self.classes: Dict[str, ClassConcurrency] = {}
         #: ``id(ast.Call)`` → lock context of that call site.
         self.locked_calls: Dict[int, LockedCall] = {}
-        #: Functions that *directly* acquire a ``threading`` lock —
-        #: ``with`` on a class lock/condition attr, a lock-typed local or
-        #: module global, or an explicit ``.acquire()`` on one of those.
-        self.lock_acquirers: Set[str] = set()
         #: Module name → module-global name → sync kind, for globals like
         #: ``_CACHE_LOCK = threading.Lock()``.
         self.module_sync: Dict[str, Dict[str, str]] = {}
@@ -232,8 +221,6 @@ class ConcurrencyIndex:
         for module in index.modules.values():
             for cls_info in module.classes.values():
                 conc._scan_class(module, cls_info)
-        for func in index.functions.values():
-            conc._scan_for_acquisition(index, func)
         return conc
 
     def _collect_module_globals(self, module: ModuleInfo) -> None:
@@ -414,7 +401,6 @@ class ConcurrencyIndex:
                     cc, func, receiver, summary, plain_items, held, scope
                 )
                 if acquired:
-                    summary.acquires_lock = True
                     recurse(
                         stmt.body,
                         held + tuple(acquired),
@@ -637,48 +623,7 @@ class ConcurrencyIndex:
             queue.extend(ast.iter_child_nodes(node))
 
     # ------------------------------------------------------------------
-    # lock acquisition (any function, for RPR203 reachability)
-    # ------------------------------------------------------------------
-    def _scan_for_acquisition(
-        self, index: ProjectIndex, func: FunctionInfo
-    ) -> None:
-        cc = (
-            self.classes.get(func.class_qualname)
-            if func.class_qualname
-            else None
-        )
-        summary = cc.methods.get(func.name) if cc is not None else None
-        if summary is not None and summary.acquires_lock:
-            self.lock_acquirers.add(func.qualname)
-            return
-        module = index.modules.get(func.module)
-        if module is None:
-            return
-        locals_sync = self.local_bindings(module, func.node)
-        globals_sync = self.module_sync.get(module.name, {})
-
-        def is_lockish(expr: ast.expr) -> bool:
-            if isinstance(expr, ast.Name):
-                kind = locals_sync.get(expr.id) or globals_sync.get(expr.id)
-                return kind in ("lock", "condition", "semaphore")
-            return False
-
-        for node in ProjectIndex._walk_body(func.node):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                if any(is_lockish(item.context_expr) for item in node.items):
-                    self.lock_acquirers.add(func.qualname)
-                    return
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "acquire"
-                and is_lockish(node.func.value)
-            ):
-                self.lock_acquirers.add(func.qualname)
-                return
-
-    # ------------------------------------------------------------------
-    # shared helpers for the RPR203/204/205 rules
+    # shared helpers for the RPR201/202/205 rules
     # ------------------------------------------------------------------
     def local_bindings(
         self, module: ModuleInfo, func_node: ast.AST

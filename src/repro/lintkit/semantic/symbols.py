@@ -17,7 +17,16 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 __all__ = [
     "ParamInfo",
@@ -38,6 +47,8 @@ _TRANSPARENT_GENERICS = frozenset({"Optional", "Union", "Annotated", "Final"})
 
 _DATACLASS_DECORATORS = frozenset({"dataclass", "dataclasses.dataclass"})
 
+_T = TypeVar("_T")
+
 
 def dotted_name(node: ast.expr) -> Optional[str]:
     """Flatten a ``Name``/``Attribute`` chain to ``"a.b.c"``, else ``None``."""
@@ -56,8 +67,8 @@ def annotation_type_names(annotation: Optional[ast.expr]) -> List[str]:
 
     ``Optional[SimulationOptions]`` yields ``["SimulationOptions"]``;
     ``Tuple[Spec, int]`` yields ``[]`` — container generics *hide* their
-    element types on purpose, so carrier detection (RPR102) only honours
-    types passed as direct parameters.
+    element types on purpose, so only types passed as direct parameters
+    resolve as receivers.
     """
     if annotation is None:
         return []
@@ -537,50 +548,26 @@ class ProjectIndex:
     # ------------------------------------------------------------------
     # cached derived analyses (computed on first use)
     # ------------------------------------------------------------------
+    def cached(self, key: str, build: Callable[["ProjectIndex"], _T]) -> _T:
+        """``build(self)``, computed on first use and cached under ``key``."""
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]  # type: ignore[return-value]
+
     def call_graph(self):  # noqa: ANN201 - forward ref avoids import cycle
         """The project call graph (:class:`~.callgraph.CallGraph`), cached."""
-        if "call_graph" not in self._cache:
-            from .callgraph import CallGraph
+        from .callgraph import CallGraph
 
-            self._cache["call_graph"] = CallGraph.build(self)
-        return self._cache["call_graph"]
-
-    def purity(self):  # noqa: ANN201
-        """Set of pure function qualnames (see :mod:`~.purity`), cached."""
-        if "purity" not in self._cache:
-            from .purity import pure_functions
-
-            self._cache["purity"] = pure_functions(self)
-        return self._cache["purity"]
+        return self.cached("call_graph", CallGraph.build)
 
     def units(self):  # noqa: ANN201
         """The unit-inference engine (:class:`~.units.UnitInference`), cached."""
-        if "units" not in self._cache:
-            from .units import UnitInference
+        from .units import UnitInference
 
-            self._cache["units"] = UnitInference(self)
-        return self._cache["units"]
-
-    def rng_taint(self):  # noqa: ANN201
-        """The determinism taint analysis (:class:`~.taint.RngTaint`), cached."""
-        if "rng_taint" not in self._cache:
-            from .taint import RngTaint
-
-            self._cache["rng_taint"] = RngTaint(self)
-        return self._cache["rng_taint"]
+        return self.cached("units", UnitInference)
 
     def concurrency(self):  # noqa: ANN201
         """Per-class lock summaries (:class:`~.concurrency.ConcurrencyIndex`), cached."""
-        if "concurrency" not in self._cache:
-            from .concurrency import ConcurrencyIndex
+        from .concurrency import ConcurrencyIndex
 
-            self._cache["concurrency"] = ConcurrencyIndex.build(self)
-        return self._cache["concurrency"]
-
-    def shapes(self):  # noqa: ANN201
-        """Symbolic shape/dtype/writability facts (:class:`~.shapes.ShapeIndex`), cached."""
-        if "shapes" not in self._cache:
-            from .shapes import ShapeIndex
-
-            self._cache["shapes"] = ShapeIndex.build(self)
-        return self._cache["shapes"]
+        return self.cached("concurrency", ConcurrencyIndex.build)

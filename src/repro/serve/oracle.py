@@ -35,7 +35,7 @@ links are the bin-center answers: exact at bin centers, and within the
 same quantization the fleet engine applies everywhere.
 """
 
-# reprolint: hot-path — recommend/evaluate loop timed by BENCH_serve.json
+# reprolint: hot-path — recommend/evaluate loop timed by perf/run.py http-mixed
 from __future__ import annotations
 
 import threading

@@ -12,6 +12,7 @@ owns parsing and validation so the HTTP handler and the in-process
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -97,6 +98,12 @@ class LinkSpec:
             raise ProtocolError(
                 "a link spec needs exactly one of distance_m or snr_db"
             )
+        for name in ("distance_m", "snr_db"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ProtocolError(
+                    f"{name} must be a finite number, got {value!r}", field=name
+                )
         if self.distance_m is not None and self.distance_m <= 0:
             raise ProtocolError(
                 f"distance_m must be positive, got {self.distance_m!r}"
@@ -332,7 +339,15 @@ def _parse_number(data: Mapping[str, object], field: str) -> Optional[float]:
         raise ProtocolError(
             f"{field} must be a number, got {value!r}", field=field
         )
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProtocolError(
+            f"{field} must be a finite number, got {value!r}", field=field
+        )
+    return number
 
 
 def parse_link(data: object) -> LinkSpec:

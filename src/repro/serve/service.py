@@ -19,6 +19,7 @@ queries into a single model-evaluation pass.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
@@ -61,6 +62,8 @@ _Request = Union[
 #: immediate — but an unbounded wait would sleep through a missed wakeup
 #: forever, and the re-checking while loop makes periodic wakeups free.
 _WORKER_WAKE_INTERVAL_S = 1.0
+
+_LOG = logging.getLogger(__name__)
 
 
 class _Pending:
@@ -388,14 +391,25 @@ class OracleService:
             if len(live) > 1:
                 self.metrics.increment("coalesced_requests_total", by=len(live) - 1)
             head = live[0].request
-            if isinstance(head, RecommendRequest):
-                self._run_recommend_batch(live)
-            elif isinstance(head, FleetRecommendRequest):
-                self._run_fleet(live[0])
-            elif isinstance(head, TelemetryRequest):
-                self._run_telemetry(live[0])
-            else:
-                self._run_evaluate(live[0])
+            try:
+                if isinstance(head, RecommendRequest):
+                    self._run_recommend_batch(live)
+                elif isinstance(head, FleetRecommendRequest):
+                    self._run_fleet(live[0])
+                elif isinstance(head, TelemetryRequest):
+                    self._run_telemetry(live[0])
+                else:
+                    self._run_evaluate(live[0])
+            except Exception as exc:
+                # A defect below the protocol layer must cost one batch, not
+                # the worker thread: a dead worker strands every later request
+                # until its deadline.
+                _LOG.exception("oracle worker failed a %s", type(head).__name__)
+                self.metrics.increment("worker_errors_total")
+                error = ServeError(f"internal error: {type(exc).__name__}: {exc}")
+                error.__cause__ = exc
+                for pending in live:
+                    self._fail(pending, error)
 
     def _run_recommend_batch(self, batch: List[_Pending]) -> None:
         # Policy-first: members the precompiled tables can answer never

@@ -36,6 +36,7 @@ from repro.lintkit.constant_registry import (
     significant_digits,
 )
 from repro.lintkit.rules.rpr001_units import has_unit_suffix, unit_suffix
+from repro.lintkit.suppressions import ALL_RULES, parse_suppressions
 
 SRC_REPRO = Path(repro.__file__).resolve().parent
 
@@ -55,9 +56,9 @@ class TestRuleRegistry:
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == [
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-            "RPR101", "RPR102", "RPR103", "RPR104",
-            "RPR201", "RPR202", "RPR203", "RPR204", "RPR205",
-            "RPR301", "RPR302", "RPR303", "RPR304", "RPR305",
+            "RPR101", "RPR103",
+            "RPR201", "RPR202", "RPR205",
+            "RPR301",
         ]
 
     def test_unknown_select_rejected(self):
@@ -529,8 +530,9 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in (
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-            "RPR101", "RPR102", "RPR103", "RPR104",
-            "RPR201", "RPR202", "RPR203", "RPR204", "RPR205",
+            "RPR101", "RPR103",
+            "RPR201", "RPR202", "RPR205",
+            "RPR301",
         ):
             assert rule_id in out
 
@@ -598,3 +600,18 @@ class TestSelfCheck:
         baseline_path = SRC_REPRO.parents[1] / "reprolint-baseline.json"
         if baseline_path.is_file():
             assert load_baseline(baseline_path) == {}
+
+    def test_suppressions_name_registered_rules(self):
+        """A deleted rule must not leave stale ``disable=`` comments behind."""
+        registered = {rule.rule_id for rule in all_rules()}
+        stale = []
+        for path in iter_python_files([SRC_REPRO]):
+            suppressions = parse_suppressions(path.read_text(encoding="utf-8"))
+            named = set(suppressions.file_wide).union(
+                *suppressions.by_line.values()
+            )
+            stale.extend(
+                f"{path}: {rule_id}"
+                for rule_id in sorted(named - registered - {ALL_RULES})
+            )
+        assert stale == []

@@ -1,11 +1,8 @@
-"""Tests for reprolint's concurrency tier (semantic.concurrency + RPR201-205).
+"""Tests for reprolint's concurrency tier (semantic.concurrency + RPR2xx).
 
-Every rule gets at least two true-positive fixtures (the defect is
-detected) and two true-negative fixtures (the precision guards hold on
-conforming code). The RPR203 negatives include the exact pool-initializer
-pattern ``campaign/parallel.py`` uses — frozen dataclass spec, spawn
-context, ``imap_unordered`` — and lint the real file, so the production
-code is proven clean rather than skipped. Block-scoped suppression
+Every rule (RPR201, RPR202, RPR205) gets at least two true-positive
+fixtures (the defect is detected) and two true-negative fixtures (the
+precision guards hold on conforming code). Block-scoped suppression
 (a directive on a ``with`` header silencing findings inside the block)
 is pinned here too, since the concurrency rules are what anchor findings
 deep inside guarded blocks.
@@ -135,7 +132,7 @@ class TestConcurrencyIndex:
         # no class summary at all.
         assert "sched.Scheduler" not in index.concurrency().classes
 
-    def test_module_global_lock_acquirer_detected(self, tmp_path):
+    def test_module_global_sync_object_detected(self, tmp_path):
         code = (
             "import threading\n"
             "\n"
@@ -144,15 +141,10 @@ class TestConcurrencyIndex:
             "def locked_update(x):\n"
             "    with _CACHE_LOCK:\n"
             "        return x\n"
-            "\n"
-            "def pure(x):\n"
-            "    return x\n"
         )
         index = build_index(tmp_path, {"mod.py": code})
         conc = index.concurrency()
         assert conc.module_sync["mod"] == {"_CACHE_LOCK": "lock"}
-        assert "mod.locked_update" in conc.lock_acquirers
-        assert "mod.pure" not in conc.lock_acquirers
 
     def test_cached_on_project_index(self, tmp_path):
         index = build_index(tmp_path, {"mod.py": _COUNTER})
@@ -349,229 +341,6 @@ class TestRPR202Atomicity:
 
 
 # ----------------------------------------------------------------------
-# RPR203 — fork safety
-# ----------------------------------------------------------------------
-
-
-class TestRPR203ForkSafety:
-    def test_detects_lock_in_initargs(self, tmp_path):
-        code = (
-            "import multiprocessing\n"
-            "import threading\n"
-            "\n"
-            "def _setup(lock):\n"
-            "    pass\n"
-            "\n"
-            "def work(x):\n"
-            "    return x\n"
-            "\n"
-            "def run(jobs):\n"
-            "    lock = threading.Lock()\n"
-            "    ctx = multiprocessing.get_context('spawn')\n"
-            "    with ctx.Pool(2, initializer=_setup, initargs=(lock,)) as pool:\n"
-            "        return list(pool.map(work, jobs))\n"
-        )
-        findings = lint_project(tmp_path, {"mod.py": code}, {"RPR203"})
-        assert rule_ids(findings) == ["RPR203"]
-        assert "threading lock" in findings[0].message
-
-    def test_detects_closure_capturing_thread_queue(self, tmp_path):
-        code = (
-            "import multiprocessing\n"
-            "import queue\n"
-            "\n"
-            "def run(jobs):\n"
-            "    results = queue.Queue()\n"
-            "\n"
-            "    def worker(x):\n"
-            "        results.put_nowait(x)\n"
-            "        return x\n"
-            "\n"
-            "    with multiprocessing.Pool(2) as pool:\n"
-            "        return list(pool.map(worker, jobs))\n"
-        )
-        findings = lint_project(tmp_path, {"mod.py": code}, {"RPR203"})
-        assert rule_ids(findings) == ["RPR203"]
-        assert "thread queue" in findings[0].message
-
-    def test_detects_worker_reaching_lock_acquisition(self, tmp_path):
-        code = (
-            "import multiprocessing\n"
-            "import threading\n"
-            "\n"
-            "_CACHE_LOCK = threading.Lock()\n"
-            "\n"
-            "def _locked_update(x):\n"
-            "    with _CACHE_LOCK:\n"
-            "        return x\n"
-            "\n"
-            "def worker(x):\n"
-            "    return _locked_update(x)\n"
-            "\n"
-            "def run(jobs):\n"
-            "    with multiprocessing.Pool(2) as pool:\n"
-            "        return list(pool.map(worker, jobs))\n"
-        )
-        findings = lint_project(tmp_path, {"mod.py": code}, {"RPR203"})
-        assert rule_ids(findings) == ["RPR203"]
-        assert "reach a threading lock acquisition" in findings[0].message
-        assert "_locked_update" in findings[0].message  # the path is named
-
-    def test_pool_initializer_spec_pattern_is_clean(self, tmp_path):
-        # The exact campaign/parallel.py shape: frozen dataclass spec,
-        # module-global installed by the initializer, spawn context,
-        # imap_unordered, re-sort by index.
-        code = (
-            "import multiprocessing\n"
-            "from dataclasses import dataclass\n"
-            "from typing import Optional\n"
-            "\n"
-            "@dataclass(frozen=True)\n"
-            "class _WorkerSpec:\n"
-            "    base_seed: int\n"
-            "    n_packets: int\n"
-            "\n"
-            "_WORKER_SPEC: Optional[_WorkerSpec] = None\n"
-            "\n"
-            "def _init_worker(spec):\n"
-            "    global _WORKER_SPEC\n"
-            "    _WORKER_SPEC = spec\n"
-            "\n"
-            "class MiniRunner:\n"
-            "    def __init__(self, base_seed):\n"
-            "        self.base_seed = base_seed\n"
-            "\n"
-            "    def run_config(self, config, index):\n"
-            "        return (self.base_seed, index, config)\n"
-            "\n"
-            "def _run_one(spec, index, config):\n"
-            "    runner = MiniRunner(base_seed=spec.base_seed)\n"
-            "    return index, runner.run_config(config, index)\n"
-            "\n"
-            "def _run_indexed(job, spec=None):\n"
-            "    spec = spec if spec is not None else _WORKER_SPEC\n"
-            "    index, config = job\n"
-            "    return _run_one(spec, index, config)\n"
-            "\n"
-            "def run_parallel(configs, n_workers=2, chunksize=4):\n"
-            "    spec = _WorkerSpec(base_seed=42, n_packets=10)\n"
-            "    jobs = [(index, config) for index, config in enumerate(configs)]\n"
-            "    ctx = multiprocessing.get_context('spawn')\n"
-            "    with ctx.Pool(\n"
-            "        processes=n_workers, initializer=_init_worker, initargs=(spec,)\n"
-            "    ) as pool:\n"
-            "        results = list(\n"
-            "            pool.imap_unordered(_run_indexed, jobs, chunksize=chunksize)\n"
-            "        )\n"
-            "    results.sort(key=lambda item: item[0])\n"
-            "    return results\n"
-        )
-        assert lint_project(tmp_path, {"mod.py": code}, {"RPR203"}) == []
-
-    def test_real_campaign_parallel_is_clean(self):
-        # The production file itself, not just a replica of its pattern.
-        findings = lint_paths(
-            [SRC_REPRO / "campaign" / "parallel.py"], select={"RPR203"}
-        )
-        assert findings == []
-
-    def test_plain_data_pool_is_clean(self, tmp_path):
-        code = (
-            "import multiprocessing\n"
-            "\n"
-            "def work(x):\n"
-            "    return x * x\n"
-            "\n"
-            "def run(jobs, n):\n"
-            "    with multiprocessing.Pool(n) as pool:\n"
-            "        return pool.starmap(work, [(j,) for j in jobs])\n"
-        )
-        assert lint_project(tmp_path, {"mod.py": code}, {"RPR203"}) == []
-
-
-# ----------------------------------------------------------------------
-# RPR204 — resource lifecycle
-# ----------------------------------------------------------------------
-
-
-class TestRPR204ResourceLifecycle:
-    def test_detects_happy_path_close_only(self, tmp_path):
-        code = (
-            "def dump(path, rows):\n"
-            "    fh = open(path, 'w')\n"
-            "    for row in rows:\n"
-            "        fh.write(row)\n"
-            "    fh.close()\n"
-        )
-        findings = lint_project(tmp_path, {"mod.py": code}, {"RPR204"})
-        assert rule_ids(findings) == ["RPR204"]
-        assert "not reliably released" in findings[0].message
-
-    def test_detects_attribute_with_no_owner_release(self, tmp_path):
-        code = (
-            "class Logger:\n"
-            "    def __init__(self, path):\n"
-            "        self._log = open(path, 'a')\n"
-            "\n"
-            "    def write(self, line):\n"
-            "        self._log.write(line)\n"
-        )
-        findings = lint_project(tmp_path, {"mod.py": code}, {"RPR204"})
-        assert rule_ids(findings) == ["RPR204"]
-        assert "no release path" in findings[0].message
-
-    def test_with_statement_is_clean(self, tmp_path):
-        code = (
-            "def dump(path, rows):\n"
-            "    with open(path, 'w') as fh:\n"
-            "        for row in rows:\n"
-            "            fh.write(row)\n"
-        )
-        assert lint_project(tmp_path, {"mod.py": code}, {"RPR204"}) == []
-
-    def test_try_finally_close_is_clean(self, tmp_path):
-        code = (
-            "def read_all(path):\n"
-            "    fh = open(path)\n"
-            "    try:\n"
-            "        return fh.read()\n"
-            "    finally:\n"
-            "        fh.close()\n"
-        )
-        assert lint_project(tmp_path, {"mod.py": code}, {"RPR204"}) == []
-
-    def test_owner_close_path_is_clean(self, tmp_path):
-        # self._fh is released via close() -> _shutdown() -> _fh.close(),
-        # one hop through a same-class helper.
-        code = (
-            "class Sink:\n"
-            "    def __init__(self, path):\n"
-            "        self._fh = open(path, 'a')\n"
-            "\n"
-            "    def append(self, line):\n"
-            "        self._fh.write(line)\n"
-            "\n"
-            "    def close(self):\n"
-            "        self._shutdown()\n"
-            "\n"
-            "    def _shutdown(self):\n"
-            "        self._fh.close()\n"
-        )
-        assert lint_project(tmp_path, {"mod.py": code}, {"RPR204"}) == []
-
-    def test_ownership_transfer_is_clean(self, tmp_path):
-        code = (
-            "def acquire(path):\n"
-            "    return open(path)\n"
-            "\n"
-            "def acquire_named(path):\n"
-            "    fh = open(path)\n"
-            "    return fh\n"
-        )
-        assert lint_project(tmp_path, {"mod.py": code}, {"RPR204"}) == []
-
-
-# ----------------------------------------------------------------------
 # RPR205 — blocking-call deadlines
 # ----------------------------------------------------------------------
 
@@ -761,6 +530,6 @@ class TestSelfCheck:
     def test_src_repro_clean_under_concurrency_tier(self):
         findings = lint_paths(
             [SRC_REPRO],
-            select={"RPR201", "RPR202", "RPR203", "RPR204", "RPR205"},
+            select={"RPR201", "RPR202", "RPR205"},
         )
         assert findings == [], messages(findings)

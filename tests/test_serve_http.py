@@ -172,6 +172,29 @@ class TestStructuredErrors:
         assert status == 400
         assert body["error"]["field"] == "snr_db"
 
+    @pytest.mark.parametrize(
+        "path, payload, field",
+        [
+            ("/v1/recommend", {"link": {"snr_db": float("nan")}}, "snr_db"),
+            ("/v1/recommend", {"link": {"snr_db": float("inf")}}, "snr_db"),
+            ("/v1/recommend", {"link": {"distance_m": float("nan")}}, "distance_m"),
+            (
+                "/v1/fleet/recommend",
+                {"links": [{"snr_db": 4.0}, {"snr_db": float("nan")}]},
+                "snr_db",
+            ),
+        ],
+    )
+    def test_non_finite_number_is_a_400_naming_the_field(
+        self, server, path, payload, field
+    ):
+        status, body = post(server, path, payload)  # json.dumps emits NaN
+        assert status == 400
+        assert body["error"]["code"] == "protocol_error"
+        assert body["error"]["field"] == field
+        status, _ = post(server, "/v1/recommend", {"link": {"snr_db": 6.0}})
+        assert status == 200
+
     def test_malformed_json_body_is_structured(self, server):
         request = urllib.request.Request(
             f"http://127.0.0.1:{server.port}/v1/recommend",

@@ -25,6 +25,8 @@ from repro.serve import (
     TIER_LRU,
     TIER_MISS,
     TIER_PRECOMPUTED,
+    parse_fleet_recommend,
+    parse_recommend,
 )
 
 
@@ -52,6 +54,13 @@ class TestLinkSpec:
         with pytest.raises(ProtocolError):
             LinkSpec(distance_m=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["distance_m", "snr_db"])
+    def test_rejects_non_finite_numbers(self, name, value):
+        with pytest.raises(ProtocolError) as exc_info:
+            LinkSpec(**{name: value})
+        assert exc_info.value.field == name
+
     def test_key_distinguishes_link_kinds(self):
         assert LinkSpec(distance_m=10.0).key() != LinkSpec(snr_db=10.0).key()
 
@@ -65,6 +74,38 @@ class TestLinkSpec:
 
         link = LinkSpec(snr_db=6.0, reference_level=31)
         assert link.snr_map(hallway_env) == snr_map_from_reference(6.0, 31)
+
+
+class TestNonFiniteRequests:
+    """NaN/Infinity decode from JSON as floats; the parser must refuse them."""
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"link": {"snr_db": float("nan")}}, "snr_db"),
+            ({"link": {"snr_db": float("inf")}}, "snr_db"),
+            ({"link": {"distance_m": float("nan")}}, "distance_m"),
+            ({"link": {"distance_m": 10 ** 400}}, "distance_m"),
+            (
+                {
+                    "link": {"distance_m": 10.0},
+                    "constraints": [{"objective": "delay", "max": float("nan")}],
+                },
+                "max",
+            ),
+        ],
+    )
+    def test_recommend_names_the_non_finite_field(self, body, field):
+        with pytest.raises(ProtocolError) as exc_info:
+            parse_recommend(body)
+        assert exc_info.value.field == field
+        assert "finite" in str(exc_info.value)
+
+    def test_fleet_link_snr_nan_is_rejected(self):
+        body = {"links": [{"snr_db": 6.0}, {"snr_db": float("nan")}]}
+        with pytest.raises(ProtocolError) as exc_info:
+            parse_fleet_recommend(body)
+        assert exc_info.value.field == "snr_db"
 
 
 class TestSweepTable:

@@ -45,6 +45,20 @@ class BlockingOracle(Oracle):
         return super().table_for(link)
 
 
+class DefectiveOracle(Oracle):
+    """Raises a non-``ReproError`` for one poisoned link, as a NaN SNR did."""
+
+    POISONED_DISTANCE_M = 13.0
+
+    def __init__(self, **kwargs):
+        super().__init__(grid=TINY_GRID, **kwargs)
+
+    def policy_recommend(self, request):
+        if request.link.distance_m == self.POISONED_DISTANCE_M:
+            raise ValueError("cannot convert float NaN to integer")
+        return super().policy_recommend(request)
+
+
 def request_for(distance_m=10.0, objective="energy"):
     return RecommendRequest(
         link=LinkSpec(distance_m=distance_m), objective=objective
@@ -221,4 +235,21 @@ class TestMicroBatching:
                 )
         finally:
             oracle.release.set()
+            service.close()
+
+
+class TestWorkerSurvival:
+    def test_single_worker_still_answers_after_an_unexpected_error(self):
+        service = OracleService(DefectiveOracle(), workers=1)
+        try:
+            poisoned = request_for(DefectiveOracle.POISONED_DISTANCE_M)
+            with pytest.raises(ServeError, match="internal error: ValueError"):
+                service.call(poisoned, timeout_s=5.0)
+            result = service.call(request_for(10.0), timeout_s=5.0)
+            assert isinstance(result, RecommendResult)
+            metrics = service.metrics
+            assert metrics.counter("worker_errors_total") == 1
+            assert metrics.counter("requests_failed_total") == 1
+            assert metrics.counter("requests_completed_total") == 1
+        finally:
             service.close()
