@@ -25,6 +25,12 @@ server is the stdlib :class:`~http.server.ThreadingHTTPServer` — no
 third-party dependencies, one thread per connection, with the real
 concurrency bound enforced by the service's worker pool and bounded
 queue behind it.
+
+Connections are HTTP/1.1 keep-alive on ``TCP_NODELAY`` sockets, and
+each response leaves in one buffered write flushed at the end of the
+request, so no request waits on the peer's delayed ACK. A rejection
+that leaves the request body unread closes the connection, so the
+unread bytes are never parsed as a next request.
 """
 
 from __future__ import annotations
@@ -91,6 +97,12 @@ class OracleRequestHandler(BaseHTTPRequestHandler):
 
     server: OracleHTTPServer
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted connection: Nagle would hold a
+    #: response's tail until the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
+    #: A buffered ``wfile``, so the header block and the body go out in
+    #: one send; ``handle_one_request`` flushes it after each request.
+    wbufsize = -1
 
     # ------------------------------------------------------------- plumbing
 
@@ -98,6 +110,16 @@ class OracleRequestHandler(BaseHTTPRequestHandler):
         """Default request logging is suppressed unless the server opts in."""
         if not self.server.quiet:
             BaseHTTPRequestHandler.log_message(self, format, *args)
+
+    def handle_expect_100(self) -> bool:
+        """Flush the interim ``100 Continue`` before the body is read.
+
+        The buffered ``wfile`` would otherwise hold it back with the final
+        response, while the client holds back the body waiting for it.
+        """
+        accepted = BaseHTTPRequestHandler.handle_expect_100(self)
+        self.wfile.flush()
+        return accepted
 
     def _send_json(
         self,
@@ -137,20 +159,29 @@ class OracleRequestHandler(BaseHTTPRequestHandler):
             )
         self._send_json(status, {"error": detail}, headers)
 
+    def _reject_unread_body(self, status: int, error: ProtocolError) -> None:
+        """Answer a request whose body is still unread, then close.
+
+        On a keep-alive connection the unread bytes would otherwise be
+        parsed as the next request; ``Connection: close`` makes the stdlib
+        handler drop the connection once this response is flushed.
+        """
+        self._send_error_json(status, error, {"Connection": "close"})
+
     def _read_raw_body(self) -> Optional[bytes]:
         """Raw request body bytes, or None after an error response was sent."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            self._send_error_json(
+            self._reject_unread_body(
                 400, ProtocolError("bad Content-Length", field="Content-Length")
             )
             return None
         if length <= 0:
-            self._send_error_json(400, ProtocolError("empty request body"))
+            self._reject_unread_body(400, ProtocolError("empty request body"))
             return None
         if length > MAX_BODY_BYTES:
-            self._send_error_json(
+            self._reject_unread_body(
                 413, ProtocolError("request body too large")
             )
             return None
@@ -163,7 +194,10 @@ class OracleRequestHandler(BaseHTTPRequestHandler):
             return None
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, but also the bare ValueError of an integer
+            # over the int-to-str digit limit, the UnicodeDecodeError of a
+            # non-UTF-8 body and the RecursionError of deep nesting.
             self._send_error_json(
                 400, ProtocolError(f"bad JSON: {exc}", field="body")
             )
@@ -203,7 +237,7 @@ class OracleRequestHandler(BaseHTTPRequestHandler):
         elif self.path == "/v1/telemetry":
             handler = client.telemetry
         else:
-            self._send_error_json(
+            self._reject_unread_body(
                 404, ProtocolError(f"no route {self.path}")
             )
             return

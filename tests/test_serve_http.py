@@ -1,7 +1,11 @@
 """HTTP API tests: a real socket round-trip through every endpoint."""
 
+import http.client
+import io
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -9,6 +13,7 @@ import pytest
 
 from repro.core.optimization import TuningGrid
 from repro.serve import Oracle, OracleService, make_server
+from repro.serve.http import MAX_BODY_BYTES
 
 TINY_GRID = TuningGrid(
     ptx_levels=(3, 31),
@@ -39,9 +44,12 @@ def get(server, path):
 
 
 def post(server, path, payload):
+    """POST a JSON payload (or raw ``bytes`` sent as-is); (status, body)."""
+    if not isinstance(payload, bytes):
+        payload = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         f"http://127.0.0.1:{server.port}{path}",
-        data=json.dumps(payload).encode("utf-8"),
+        data=payload,
         headers={"Content-Type": "application/json"},
     )
     try:
@@ -183,15 +191,37 @@ class TestStructuredErrors:
                 {"links": [{"snr_db": 4.0}, {"snr_db": float("nan")}]},
                 "snr_db",
             ),
+            # Bodies json.loads rejects with something other than a
+            # JSONDecodeError: a bare ValueError past the 4,300-digit
+            # int limit, a UnicodeDecodeError, a RecursionError.
+            pytest.param(
+                "/v1/recommend",
+                b'{"link": {"snr_db": ' + b"1" * 5000 + b"}}",
+                "body",
+                id="huge-integer",
+            ),
+            pytest.param(
+                "/v1/recommend",
+                b'{"link": {"snr_db": "\xff"}}',
+                "body",
+                id="non-utf8",
+            ),
+            pytest.param("/v1/recommend", b"[" * 100_000, "body", id="deep"),
         ],
     )
     def test_non_finite_number_is_a_400_naming_the_field(
         self, server, path, payload, field
     ):
+        metrics = server.client.service.metrics
+        rejected_before = metrics.counter("requests_rejected_protocol")
         status, body = post(server, path, payload)  # json.dumps emits NaN
         assert status == 400
         assert body["error"]["code"] == "protocol_error"
         assert body["error"]["field"] == field
+        assert (
+            metrics.counter("requests_rejected_protocol")
+            == rejected_before + 1
+        )
         status, _ = post(server, "/v1/recommend", {"link": {"snr_db": 6.0}})
         assert status == 200
 
@@ -241,3 +271,129 @@ class TestStructuredErrors:
             after["counters"].get("requests_rejected_protocol", 0)
             == rejected_before
         )
+
+
+class TestConnections:
+    """Keep-alive timing and connection hygiene, measured at the client.
+
+    The server's ``http_request_s`` histogram cannot see a response held
+    in the socket, so these tests time and parse the wire directly.
+    """
+
+    #: Written as two sends without TCP_NODELAY, each response body
+    #: waited for the client's ~40 ms delayed ACK: ~0.96 s for the 20
+    #: requests below.
+    KEEP_ALIVE_REQUESTS = 20
+    KEEP_ALIVE_BUDGET_S = 0.4
+
+    #: A request hidden in a body the server rejects without reading it.
+    HIDDEN = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "path, payload, status",
+        [
+            ("/v1/recommend", {"link": {"distance_m": 10.0}}, 200),
+            (
+                "/v1/recommend",
+                {
+                    "link": {"distance_m": 10.0},
+                    "constraints": [{"objective": "loss", "max": -1.0}],
+                },
+                409,
+            ),
+            # ~44 KB: past the 8 KiB write buffer, so the body is a second
+            # send, but under the ~64 KiB Linux loopback MSS, so without
+            # TCP_NODELAY Nagle would hold it for the header's ACK.
+            (
+                "/v1/fleet/recommend",
+                {"links": [{"distance_m": 10.0}] * 100},
+                200,
+            ),
+        ],
+        ids=["ok", "conflict", "larger-than-write-buffer"],
+    )
+    def test_keep_alive_requests_are_not_held_for_the_ack(
+        self, server, path, payload, status
+    ):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=10
+        )
+        body = json.dumps(payload)
+        headers = {"Content-Type": "application/json"}
+
+        def round_trip():
+            connection.request("POST", path, body, headers)
+            response = connection.getresponse()
+            assert response.status == status
+            return response.read()
+
+        try:
+            size = len(round_trip())  # warm: cache miss, connection open
+            sock = connection.sock
+            started = time.perf_counter()
+            for _ in range(self.KEEP_ALIVE_REQUESTS):
+                round_trip()
+            elapsed_s = time.perf_counter() - started
+            assert connection.sock is sock  # one connection throughout
+        finally:
+            connection.close()
+        if path == "/v1/fleet/recommend":
+            assert size > io.DEFAULT_BUFFER_SIZE
+        assert elapsed_s < self.KEEP_ALIVE_BUDGET_S
+
+    @pytest.mark.parametrize(
+        "path, header, status",
+        [
+            ("/v1/recommend", "Content-Length: abc", 400),
+            ("/v1/recommend", "Content-Length: -5", 400),
+            ("/v1/recommend", "Transfer-Encoding: chunked", 400),
+            ("/v1/recommend", f"Content-Length: {MAX_BODY_BYTES + 1}", 413),
+            ("/v1/nope", f"Content-Length: {len(HIDDEN)}", 404),
+        ],
+        ids=["unparsable", "negative", "chunked", "too-large", "no-route"],
+    )
+    def test_rejected_unread_body_closes_the_connection(
+        self, server, path, header, status
+    ):
+        metrics = server.client.service.metrics
+        requests_before = metrics.counter("http_requests_total")
+        ok_before = metrics.counter("http_status_200_total")
+        head = (
+            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\n{header}\r\n\r\n"
+        ).encode("ascii")
+        received = b""
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as sock:
+            sock.sendall(head + self.HIDDEN)
+            try:
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break  # the server closed the connection
+                    received += chunk
+            except socket.timeout:
+                pytest.fail(f"connection left open; received {received!r}")
+        assert received.startswith(f"HTTP/1.1 {status} ".encode("ascii"))
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in received
+        assert metrics.counter("http_requests_total") == requests_before + 1
+        assert metrics.counter("http_status_200_total") == ok_before
+
+    def test_expect_100_continue_is_sent_before_the_body(self, server):
+        body = json.dumps({"link": {"snr_db": 6.0}}).encode("utf-8")
+        head = (
+            "POST /v1/recommend HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\nExpect: 100-continue\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as sock:
+            sock.sendall(head)
+            interim = sock.recv(65536)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            final = sock.recv(65536)
+        assert final.startswith(b"HTTP/1.1 200 ")
