@@ -33,6 +33,7 @@ from .config import StackConfig, TABLE_I_SPACE
 from .core import GuidelineEngine, constants, fit_ntries_model, fit_per_model
 from .core.fitting import fit_plr_radio_model
 from .core.optimization import (
+    OBJECTIVE_PLANES,
     joint_wins,
     paper_table_iv_points,
     run_case_study_models,
@@ -582,7 +583,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             hysteresis=args.hysteresis,
             snr_quantum_db=args.snr_quantum_db,
             strict=args.strict,
-            use_policy=args.policy,
         )
     else:
         engine = FleetEngine(
@@ -592,7 +592,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             hysteresis=args.hysteresis,
             snr_quantum_db=args.snr_quantum_db,
             strict=args.strict,
-            use_policy=args.policy,
         )
     drift = FleetDrift(
         topology, seed=args.seed, step_interval_s=args.step_interval_s
@@ -996,8 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind each edge as a distance link (channel model) "
                         "or a reference-SNR link (Table IV convention)")
     p.add_argument("--objective", default="energy",
-                   choices=("energy", "goodput", "delay", "loss",
-                            "loss_radio", "rho"))
+                   choices=tuple(OBJECTIVE_PLANES))
     p.add_argument("--constraint", type=_parse_constraint, action="append",
                    metavar="OBJ=MAX",
                    help="epsilon-constraint, e.g. delay=40 (repeatable)")
@@ -1019,11 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="continue an interrupted run from --checkpoint "
                         "(bit-identical to an uninterrupted run)")
-    p.add_argument("--policy", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="gather per-step answers from a precompiled SNR "
-                        "policy table (--no-policy solves each step's "
-                        "bins exactly; answers are identical)")
     p.add_argument("--routing", choices=("tree", "mesh"), default=None,
                    help="route the fleet to a sink and optimize end to "
                         "end: 'tree' builds a minimum-hop collection "

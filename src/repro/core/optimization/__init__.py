@@ -16,14 +16,19 @@ from .baselines import (
 from .epsilon_constraint import (
     Constraint,
     default_bounds_for,
+    feasible_mask,
     infeasible_error,
+    masked_argmin_rows,
     solve_epsilon_constraint,
     sweep_epsilon,
 )
 from .evaluate import (
+    OBJECTIVE_PLANES,
     RHO_QUEUE_CLIP,
     ConfigEvaluation,
     ModelEvaluator,
+    check_objectives,
+    objective_from_planes,
     snr_map_from_environment,
     snr_map_from_reference,
 )
@@ -34,18 +39,19 @@ from .kernels import (
     evaluate_grid_columns,
     evaluate_metric_planes,
     grid_knob_columns,
+    knob_config,
     queue_composition_columns,
 )
 from .pareto import dominates, knee_point, nondominated_mask, pareto_front
 from .policy import (
     DEFAULT_SNR_QUANTUM_DB,
     DEFAULT_SNR_RANGE_DB,
-    OBJECTIVE_PLANES,
     REFERENCE_LEVEL,
     PolicyTable,
+    RowAnswers,
     level_offset_lut_db,
-    masked_argmin_rows,
-    objective_from_planes,
+    quantize_snr_db,
+    solve_rows,
 )
 from .sensitivity import (
     ParameterSensitivity,
@@ -80,9 +86,15 @@ __all__ = [
     "GridEvaluation",
     "ModelEvaluator",
     "PolicyTable",
+    "RowAnswers",
+    "check_objectives",
+    "feasible_mask",
+    "knob_config",
     "level_offset_lut_db",
     "masked_argmin_rows",
     "objective_from_planes",
+    "quantize_snr_db",
+    "solve_rows",
     "ParameterSensitivity",
     "TradeoffPoint",
     "TuningGrid",

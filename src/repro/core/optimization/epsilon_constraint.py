@@ -12,17 +12,19 @@ here is exact: filter by constraints, then minimize.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ...errors import InfeasibleError, OptimizationError
-from .evaluate import ConfigEvaluation
+from .evaluate import ConfigEvaluation, objective_from_planes
 from .kernels import GridEvaluation
 
 __all__ = [
     "Constraint",
+    "feasible_mask",
     "infeasible_error",
+    "masked_argmin_rows",
     "solve_epsilon_constraint",
     "sweep_epsilon",
     "default_bounds_for",
@@ -75,28 +77,61 @@ def solve_epsilon_constraint(
     return feasible[index]
 
 
+def feasible_mask(
+    metrics: Mapping[str, np.ndarray], constraints: Sequence[Constraint]
+) -> np.ndarray:
+    """Which elements of the metric columns or planes meet every bound."""
+    feasible = np.ones(np.shape(metrics["rho"]), dtype=bool)
+    for constraint in constraints:
+        feasible &= (
+            objective_from_planes(metrics, constraint.objective)
+            <= constraint.upper_bound
+        )
+    return feasible
+
+
+def masked_argmin_rows(
+    objective: np.ndarray, feasible: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(chosen, any_feasible)`` of a masked argmin over axis 1.
+
+    The solver's tie-break: the first minimal feasible entry. When every
+    feasible value is +inf the full-row argmin may land on an infeasible
+    element, so that degenerate case is patched to the first *feasible*
+    index.
+    """
+    masked = np.where(feasible, objective, np.inf)
+    chosen = masked.argmin(axis=1)
+    row_feasible = feasible.any(axis=1)
+    # The row minimum is the chosen value (NaN included), read without a
+    # gather.
+    degenerate = np.isinf(masked.min(axis=1)) & row_feasible
+    if degenerate.any():
+        chosen[degenerate] = np.argmax(feasible[degenerate], axis=1)
+    return chosen, row_feasible
+
+
 def _solve_columns(
     evaluations: GridEvaluation,
     minimize: str,
     constraints: Sequence[Constraint],
 ) -> ConfigEvaluation:
-    """The columnar solve: boolean feasibility mask + argmin over columns."""
+    """The columnar solve: one masked-argmin row over the grid's columns."""
     if len(evaluations) == 0:
         raise OptimizationError("no evaluations to optimize over")
-    feasible = np.ones(len(evaluations), dtype=bool)
-    for constraint in constraints:
-        feasible &= (
-            evaluations.objective_column(constraint.objective)
-            <= constraint.upper_bound
-        )
-    if not feasible.any():
+    columns = vars(evaluations)
+    chosen, any_feasible = masked_argmin_rows(
+        objective_from_planes(columns, minimize)[None, :],
+        feasible_mask(columns, constraints)[None, :],
+    )
+    if not any_feasible[0]:
         raise infeasible_error(
             constraints,
             lambda objective: float(
-                evaluations.objective_column(objective).min()
+                objective_from_planes(columns, objective).min()
             ),
         )
-    return evaluations.row(evaluations.best_index(minimize, feasible))
+    return evaluations.row(int(chosen[0]))
 
 
 def infeasible_error(

@@ -12,7 +12,7 @@ where SNR at P_tx = 31 is stated to be 6 dB).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from ...channel.environment import Environment
 from ...config import StackConfig
@@ -24,7 +24,10 @@ from ..goodput_model import GoodputModel
 from ..plr_model import PlrRadioModel, plr_queue_estimate, plr_total_estimate
 
 __all__ = [
+    "OBJECTIVE_PLANES",
     "RHO_QUEUE_CLIP",
+    "check_objectives",
+    "objective_from_planes",
     "snr_map_from_environment",
     "snr_map_from_reference",
     "ConfigEvaluation",
@@ -36,6 +39,54 @@ __all__ = [
 #: ``rho**k`` overflow for large queues; both the scalar path and the
 #: columnar kernels clip at the same value so they agree exactly.
 RHO_QUEUE_CLIP = 5.0
+
+#: Objective name → (metric field, minimization sign): the one objective
+#: table. ``energy`` (µJ/bit), ``goodput`` (kbps, maximized, so negated),
+#: ``delay`` (ms), ``loss`` (total PLR), ``loss_radio`` and ``rho``. The
+#: field names are shared by :class:`ConfigEvaluation`, the columnar
+#: ``GridEvaluation`` and the metric-plane mappings, so scalar rows,
+#: columns and planes rank configurations identically.
+OBJECTIVE_PLANES: Mapping[str, Tuple[str, float]] = {
+    "energy": ("u_eng_uj_per_bit", 1.0),
+    "goodput": ("max_goodput_kbps", -1.0),
+    "delay": ("delay_ms", 1.0),
+    "loss": ("plr_total", 1.0),
+    "loss_radio": ("plr_radio", 1.0),
+    "rho": ("rho", 1.0),
+}
+
+
+def _unknown_objective(
+    name: str, label: str = "objective", error=OptimizationError
+) -> Exception:
+    return error(f"unknown {label} {name!r}; valid: {sorted(OBJECTIVE_PLANES)}")
+
+
+def check_objectives(
+    objective: str, constraints: Sequence[Any] = (), error=OptimizationError
+) -> None:
+    """Raise ``error`` unless the objective and every constraint's are known."""
+    if objective not in OBJECTIVE_PLANES:
+        raise _unknown_objective(objective, error=error)
+    for constraint in constraints:
+        if constraint.objective not in OBJECTIVE_PLANES:
+            raise _unknown_objective(
+                constraint.objective, "constraint objective", error
+            )
+
+
+def objective_from_planes(metrics: Mapping[str, Any], name: str) -> Any:
+    """One objective in minimization form from metrics keyed by field name.
+
+    ``metrics`` maps :data:`OBJECTIVE_PLANES` field names to scalars or
+    arrays: a metric-plane mapping, or ``vars()`` of an evaluation.
+    """
+    try:
+        key, sign = OBJECTIVE_PLANES[name]
+    except KeyError:
+        raise _unknown_objective(name) from None
+    value = metrics[key]
+    return -value if sign < 0 else value
 
 
 def snr_map_from_environment(
@@ -82,26 +133,9 @@ class ConfigEvaluation:
     plr_total: float
 
     def objective(self, name: str) -> float:
-        """Look up a metric by its optimization name.
-
-        Names: ``energy`` (µJ/bit, minimize), ``goodput`` (kbps, maximize —
-        returned negated so every objective minimizes), ``delay`` (ms,
-        minimize), ``loss`` (total PLR, minimize), ``loss_radio``, ``rho``.
-        """
-        table = {
-            "energy": self.u_eng_uj_per_bit,
-            "goodput": -self.max_goodput_kbps,
-            "delay": self.delay_ms,
-            "loss": self.plr_total,
-            "loss_radio": self.plr_radio,
-            "rho": self.rho,
-        }
-        try:
-            return table[name]
-        except KeyError:
-            raise OptimizationError(
-                f"unknown objective {name!r}; valid: {sorted(table)}"
-            ) from None
+        """Look up a metric by its :data:`OBJECTIVE_PLANES` name (goodput
+        negated, so every objective minimizes)."""
+        return objective_from_planes(vars(self), name)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ specification, this module is the fast one.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +46,12 @@ from ...radio.timing import (
     SPI_SECONDS_PER_BYTE,
     mac_delay_s,
 )
-from .evaluate import RHO_QUEUE_CLIP, ConfigEvaluation, ModelEvaluator
+from .evaluate import (
+    RHO_QUEUE_CLIP,
+    ConfigEvaluation,
+    ModelEvaluator,
+    objective_from_planes,
+)
 
 __all__ = [
     "GridEvaluation",
@@ -54,6 +59,7 @@ __all__ = [
     "evaluate_grid_columns",
     "evaluate_metric_planes",
     "grid_knob_columns",
+    "knob_config",
     "queue_composition_columns",
 ]
 
@@ -140,26 +146,9 @@ class GridEvaluation:
         return int(self.ptx_level.shape[0])
 
     def objective_column(self, name: str) -> np.ndarray:
-        """One objective as a minimization-form column (goodput negated).
-
-        Accepts the same names as :meth:`ConfigEvaluation.objective`:
-        ``energy``, ``goodput``, ``delay``, ``loss``, ``loss_radio``,
-        ``rho``.
-        """
-        table = {
-            "energy": self.u_eng_uj_per_bit,
-            "goodput": -self.max_goodput_kbps,
-            "delay": self.delay_ms,
-            "loss": self.plr_total,
-            "loss_radio": self.plr_radio,
-            "rho": self.rho,
-        }
-        try:
-            return table[name]
-        except KeyError:
-            raise OptimizationError(
-                f"unknown objective {name!r}; valid: {sorted(table)}"
-            ) from None
+        """One :data:`OBJECTIVE_PLANES` objective as a minimization-form
+        column (goodput negated)."""
+        return objective_from_planes(vars(self), name)
 
     def objective_matrix(self, names: Sequence[str]) -> np.ndarray:
         """Shape ``(len(self), len(names))`` matrix of objective columns."""
@@ -167,37 +156,23 @@ class GridEvaluation:
             raise OptimizationError("need at least one objective name")
         return np.stack([self.objective_column(name) for name in names], axis=1)
 
-    def best_index(
-        self, objective: str, feasible: Optional[np.ndarray] = None
-    ) -> int:
-        """Index minimizing an objective; ties break to the lowest index.
-
-        ``feasible`` optionally restricts the argmin to a boolean mask.
-        Raises when the evaluation (or the feasible subset) is empty.
-        """
-        column = self.objective_column(objective)
-        if feasible is None:
-            if len(self) == 0:
-                raise OptimizationError("no evaluations to choose from")
-            return int(np.argmin(column))
-        indices = np.flatnonzero(feasible)
-        if indices.size == 0:
-            raise OptimizationError("no feasible evaluations to choose from")
-        # argmin over the compacted subset keeps the lowest-index tie-break
-        # even when every feasible value is +inf.
-        return int(indices[np.argmin(column[indices])])
+    def best_index(self, objective: str) -> int:
+        """Index minimizing an objective; ties break to the lowest index."""
+        if len(self) == 0:
+            raise OptimizationError("no evaluations to choose from")
+        return int(np.argmin(self.objective_column(objective)))
 
     def config_at(self, index: int) -> StackConfig:
         """Materialize the knobs of one row as a :class:`StackConfig`."""
-        return StackConfig(
-            distance_m=self.distance_m,
-            ptx_level=int(self.ptx_level[index]),
-            payload_bytes=int(self.payload_bytes[index]),
-            n_max_tries=int(self.n_max_tries[index]),
-            d_retry_ms=float(self.d_retry_ms[index]),
-            q_max=int(self.q_max[index]),
-            t_pkt_ms=float(self.t_pkt_ms[index]),
+        knobs = (
+            self.ptx_level,
+            self.payload_bytes,
+            self.n_max_tries,
+            self.d_retry_ms,
+            self.q_max,
+            self.t_pkt_ms,
         )
+        return knob_config(knobs, index, self.distance_m)
 
     def row(self, index: int) -> ConfigEvaluation:
         """Materialize one configuration row as a :class:`ConfigEvaluation`."""
@@ -670,6 +645,24 @@ def grid_knob_columns(grid=None):
         indexing="ij",
     )
     return tuple(m.reshape(-1) for m in mesh)
+
+
+def knob_config(knobs, index: int, distance_m: float) -> StackConfig:
+    """One configuration of the six knob columns as a :class:`StackConfig`.
+
+    ``knobs`` is in :func:`grid_knob_columns` order; ``index`` is a
+    configuration index into those columns.
+    """
+    ptx, payload, tries, retry_ms, qmax, tpkt_ms = knobs
+    return StackConfig(
+        distance_m=distance_m,
+        ptx_level=int(ptx[index]),
+        payload_bytes=int(payload[index]),
+        n_max_tries=int(tries[index]),
+        d_retry_ms=float(retry_ms[index]),
+        q_max=int(qmax[index]),
+        t_pkt_ms=float(tpkt_ms[index]),
+    )
 
 
 def evaluate_grid_columns(

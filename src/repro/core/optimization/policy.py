@@ -40,26 +40,37 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...config import StackConfig
 from ...errors import InfeasibleError, OptimizationError
 from ...radio import cc2420
-from .epsilon_constraint import Constraint, infeasible_error
-from .evaluate import ConfigEvaluation, ModelEvaluator, snr_map_from_reference
-from .kernels import evaluate_metric_planes, grid_knob_columns
+from .epsilon_constraint import (
+    Constraint,
+    feasible_mask,
+    infeasible_error,
+    masked_argmin_rows,
+)
+from .evaluate import (
+    ConfigEvaluation,
+    ModelEvaluator,
+    check_objectives,
+    objective_from_planes,
+    snr_map_from_reference,
+)
+from .kernels import evaluate_metric_planes, grid_knob_columns, knob_config
 
 __all__ = [
     "DEFAULT_SNR_QUANTUM_DB",
     "DEFAULT_SNR_RANGE_DB",
-    "OBJECTIVE_PLANES",
     "REFERENCE_LEVEL",
     "PolicyTable",
+    "RowAnswers",
     "level_offset_lut_db",
-    "masked_argmin_rows",
-    "objective_from_planes",
+    "quantize_snr_db",
+    "solve_rows",
 ]
 
 #: PA level the policy SNR axis (and the fleet's SNR columns) refer to.
@@ -72,19 +83,6 @@ DEFAULT_SNR_QUANTUM_DB = 0.25
 #: paper's measured range with generous margin; lookups outside fall
 #: back to an exact solve.
 DEFAULT_SNR_RANGE_DB: Tuple[float, float] = (-10.0, 40.0)
-
-#: Objective name → (metric-plane key, minimization sign). The same
-#: names (and the same goodput negation) as
-#: :meth:`GridEvaluation.objective_column`, so plane solves and columnar
-#: grid solves rank configurations identically.
-OBJECTIVE_PLANES: Mapping[str, Tuple[str, float]] = {
-    "energy": ("u_eng_uj_per_bit", 1.0),
-    "goodput": ("max_goodput_kbps", -1.0),
-    "delay": ("delay_ms", 1.0),
-    "loss": ("plr_total", 1.0),
-    "loss_radio": ("plr_radio", 1.0),
-    "rho": ("rho", 1.0),
-}
 
 #: Winner-metric columns stored per bin — exactly the fields a
 #: :class:`ConfigEvaluation` carries, so a lookup materializes the same
@@ -101,18 +99,21 @@ _RESULT_COLUMNS = (
 )
 
 
-def objective_from_planes(
-    metrics: Mapping[str, np.ndarray], name: str
-) -> np.ndarray:
-    """One objective in minimization form from a metric-plane mapping."""
-    try:
-        key, sign = OBJECTIVE_PLANES[name]
-    except KeyError:
-        raise OptimizationError(
-            f"unknown objective {name!r}; valid: {sorted(OBJECTIVE_PLANES)}"
-        ) from None
-    plane = metrics[key]
-    return -plane if sign < 0 else plane
+def _snr_bins(snr_db, quantum_db: float) -> np.ndarray:
+    """The SNR quantizer: bin number ``round(snr / quantum)`` (as float)."""
+    return np.round(np.asarray(snr_db, dtype=float) / quantum_db)
+
+
+def quantize_snr_db(snr_db, quantum_db: float) -> np.ndarray:
+    """SNR snapped to its ``quantum_db`` bin centre (0 keeps it exact).
+
+    The one quantizer shared by the policy axis, the fleet engine and the
+    oracle's cache keys: a float bin number times the quantum is the same
+    product a compiled axis uses for its bin centres.
+    """
+    if quantum_db == 0.0:
+        return np.asarray(snr_db, dtype=float)
+    return _snr_bins(snr_db, quantum_db) * quantum_db
 
 
 def level_offset_lut_db(
@@ -136,25 +137,87 @@ def level_offset_lut_db(
     return lut
 
 
-def masked_argmin_rows(
-    objective: np.ndarray, feasible: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row ``(chosen, any_feasible)`` of a masked argmin over axis 1.
+class RowAnswers(NamedTuple):
+    """The epsilon-constraint answer of each SNR row, column-wise.
 
-    Replicates :meth:`GridEvaluation.best_index` exactly, including the
-    tie-break: when every feasible value is +inf the full-row argmin may
-    land on an infeasible element, while the per-link solver's
-    compacted-subset argmin picks the first *feasible* index — so that
-    degenerate case is patched to match.
+    ``best_index`` / ``best_objective`` / ``feasible`` per row, the
+    winner's full metric row (:data:`_RESULT_COLUMNS`), and for each
+    constrained objective its per-row minimum — what the solver's
+    infeasibility diagnosis reports.
     """
-    masked = np.where(feasible, objective, np.inf)
-    chosen = np.argmin(masked, axis=1)
-    chosen_value = np.take_along_axis(masked, chosen[:, None], axis=1)[:, 0]
-    row_feasible = feasible.any(axis=1)
-    degenerate = np.isinf(chosen_value) & row_feasible
-    if degenerate.any():
-        chosen[degenerate] = np.argmax(feasible[degenerate], axis=1)
-    return chosen, row_feasible
+
+    best_index: np.ndarray
+    best_objective: np.ndarray
+    feasible: np.ndarray
+    winner_metrics: Dict[str, np.ndarray]
+    constraint_best: Dict[str, np.ndarray]
+
+
+def solve_rows(
+    evaluator: ModelEvaluator,
+    knobs: Tuple[np.ndarray, ...],
+    offsets_db: np.ndarray,
+    snr_db: np.ndarray,
+    objective: str,
+    constraints: Sequence[Constraint] = (),
+    block_elements: int = 1_000_000,
+) -> RowAnswers:
+    """Solve every reference-level SNR in ``snr_db`` over the whole grid.
+
+    Row ``i`` is the plane ``snr_db[i] + offsets_db`` against the knob
+    columns (``offsets_db`` is each configuration's output-power offset
+    from the reference level), blocked to at most ``block_elements``
+    plane elements at a time. Each row is solved exactly like
+    :func:`~repro.core.optimization.solve_epsilon_constraint` on that
+    link's grid evaluation: metric planes → objective → feasibility mask
+    → :func:`masked_argmin_rows`. Both :meth:`PolicyTable.compile` (over
+    its bin centres) and the fleet engine (over the SNRs its table does
+    not cover) solve through here.
+    """
+    ptx, payload, tries, retry_ms, qmax, tpkt_ms = knobs
+    snr_db = np.asarray(snr_db, dtype=float)
+    n_rows = int(snr_db.shape[0])
+    constrained = list(dict.fromkeys(c.objective for c in constraints))
+    answers = RowAnswers(
+        best_index=np.empty(n_rows, dtype=np.int64),
+        best_objective=np.empty(n_rows, dtype=float),
+        feasible=np.empty(n_rows, dtype=bool),
+        winner_metrics={name: np.empty(n_rows) for name in _RESULT_COLUMNS},
+        constraint_best={name: np.empty(n_rows) for name in constrained},
+    )
+    rows_per_block = max(1, int(block_elements) // int(ptx.shape[0]))
+    for start in range(0, n_rows, rows_per_block):
+        rows = slice(start, min(start + rows_per_block, n_rows))
+        metrics = evaluate_metric_planes(
+            evaluator,
+            ptx_level=ptx,
+            payload_bytes=payload,
+            n_max_tries=tries,
+            d_retry_ms=retry_ms,
+            q_max=qmax,
+            t_pkt_ms=tpkt_ms,
+            snr_db=snr_db[rows, None] + offsets_db[None, :],
+        )
+        objective_plane = objective_from_planes(metrics, objective)
+        chosen, row_feasible = masked_argmin_rows(
+            objective_plane, feasible_mask(metrics, constraints)
+        )
+        selector = chosen[:, None]
+        answers.best_index[rows] = chosen
+        answers.best_objective[rows] = np.take_along_axis(
+            objective_plane, selector, axis=1
+        )[:, 0]
+        answers.feasible[rows] = row_feasible
+        for name, column in answers.winner_metrics.items():
+            column[rows] = np.take_along_axis(
+                metrics[name], selector, axis=1
+            )[:, 0]
+        # A plane row's minimum equals the matching GridEvaluation
+        # column's (same values, same reduction): exactly what the
+        # solver's infeasibility diagnosis reports.
+        for name, column in answers.constraint_best.items():
+            column[rows] = objective_from_planes(metrics, name).min(axis=1)
+    return answers
 
 
 @dataclass(frozen=True)
@@ -234,18 +297,7 @@ class PolicyTable:
         paper's reference map — compiles the table any reference-SNR
         link reads from.
         """
-        if objective not in OBJECTIVE_PLANES:
-            raise OptimizationError(
-                f"unknown objective {objective!r}; "
-                f"valid: {sorted(OBJECTIVE_PLANES)}"
-            )
-        for constraint in constraints:
-            if constraint.objective not in OBJECTIVE_PLANES:
-                raise OptimizationError(
-                    f"unknown constraint objective "
-                    f"{constraint.objective!r}; "
-                    f"valid: {sorted(OBJECTIVE_PLANES)}"
-                )
+        check_objectives(objective, constraints)
         if snr_quantum_db <= 0:
             raise OptimizationError(
                 f"snr_quantum_db must be positive, got {snr_quantum_db!r}"
@@ -267,72 +319,21 @@ class PolicyTable:
                 snr_by_level=snr_map_from_reference(0.0)
             )
         knobs = grid_knob_columns(grid)
-        ptx, payload, tries, retry_ms, qmax, tpkt_ms = knobs
-        offsets_db = level_offset_lut_db(ptx)[ptx]
-        bin_origin = int(np.round(low_db / quantum))
-        n_bins = int(np.round(high_db / quantum)) - bin_origin + 1
-        # int64 bin * float quantum is the exact product np.round(snr / q)
-        # * q yields for in-bin SNRs, so centers match quantized queries
+        bin_origin = int(_snr_bins(low_db, quantum))
+        n_bins = int(_snr_bins(high_db, quantum)) - bin_origin + 1
+        # int64 bin * float quantum is the exact product quantize_snr_db
+        # yields for in-bin SNRs, so centers match quantized queries
         # float-for-float.
         centers_db = (bin_origin + np.arange(n_bins, dtype=np.int64)) * quantum
-
-        n_configs = int(ptx.shape[0])
-        best_index = np.empty(n_bins, dtype=np.int64)
-        best_objective = np.empty(n_bins, dtype=float)
-        feasible_bins = np.empty(n_bins, dtype=bool)
-        winner = {
-            name: np.empty(n_bins, dtype=float) for name in _RESULT_COLUMNS
-        }
-        constrained = []
-        for constraint in constraints:
-            if constraint.objective not in constrained:
-                constrained.append(constraint.objective)
-        constraint_best = {
-            name: np.empty(n_bins, dtype=float) for name in constrained
-        }
-        rows_per_block = max(1, int(block_elements) // n_configs)
-        for start in range(0, n_bins, rows_per_block):
-            stop = min(start + rows_per_block, n_bins)
-            plane_snr_db = centers_db[start:stop, None] + offsets_db[None, :]
-            metrics = evaluate_metric_planes(
-                evaluator,
-                ptx_level=ptx,
-                payload_bytes=payload,
-                n_max_tries=tries,
-                d_retry_ms=retry_ms,
-                q_max=qmax,
-                t_pkt_ms=tpkt_ms,
-                snr_db=plane_snr_db,
-            )
-            objective_plane = objective_from_planes(metrics, objective)
-            feasible = np.ones(objective_plane.shape, dtype=bool)
-            for constraint in constraints:
-                feasible &= (
-                    objective_from_planes(metrics, constraint.objective)
-                    <= constraint.upper_bound
-                )
-            chosen, row_feasible = masked_argmin_rows(
-                objective_plane, feasible
-            )
-            selector = chosen[:, None]
-            best_index[start:stop] = chosen
-            best_objective[start:stop] = np.take_along_axis(
-                objective_plane, selector, axis=1
-            )[:, 0]
-            feasible_bins[start:stop] = row_feasible
-            for name in _RESULT_COLUMNS:
-                winner[name][start:stop] = np.take_along_axis(
-                    metrics[name], selector, axis=1
-                )[:, 0]
-            # The per-bin minimum of a constrained objective: a plane
-            # row's min equals the matching GridEvaluation column's min
-            # (same values, same reduction), which is exactly what the
-            # solver's infeasibility diagnosis reports.
-            for name in constrained:
-                constraint_best[name][start:stop] = objective_from_planes(
-                    metrics, name
-                ).min(axis=1)
-        compile_ms = (time.monotonic() - started) * 1e3
+        answers = solve_rows(
+            evaluator,
+            knobs,
+            level_offset_lut_db(knobs[0])[knobs[0]],
+            centers_db,
+            objective,
+            constraints,
+            block_elements,
+        )
         return cls(
             objective=objective,
             constraints=tuple(constraints),
@@ -340,12 +341,8 @@ class PolicyTable:
             bin_origin=bin_origin,
             distance_m=float(distance_m),
             knobs=knobs,
-            best_index=best_index,
-            best_objective=best_objective,
-            feasible=feasible_bins,
-            winner_metrics=winner,
-            constraint_best=constraint_best,
-            compile_ms=compile_ms,
+            compile_ms=(time.monotonic() - started) * 1e3,
+            **answers._asdict(),
         )
 
     # ------------------------------------------------------------- shape
@@ -388,24 +385,23 @@ class PolicyTable:
 
     def local_bins(self, snr_db) -> np.ndarray:
         """Axis-relative bin index of each SNR (may fall outside [0, n))."""
-        snr = np.asarray(snr_db, dtype=float)
-        bins = np.round(snr / self.snr_quantum_db).astype(np.int64)
+        bins = _snr_bins(snr_db, self.snr_quantum_db).astype(np.int64)
         return bins - self.bin_origin
 
     def in_axis(self, local_bins: np.ndarray) -> np.ndarray:
         """Which axis-relative bins the table actually covers."""
         return (local_bins >= 0) & (local_bins < len(self))
 
+    def _local_bin(self, snr_db: float) -> int:
+        return int(_snr_bins(float(snr_db), self.snr_quantum_db)) - self.bin_origin
+
     def covers(self, snr_db: float) -> bool:
         """True when the SNR quantizes onto the supported axis."""
-        local = int(np.round(float(snr_db) / self.snr_quantum_db))
-        local -= self.bin_origin
-        return 0 <= local < len(self)
+        return 0 <= self._local_bin(snr_db) < len(self)
 
     def bin_index(self, snr_db: float) -> int:
         """The axis-relative bin of one SNR; raises when unsupported."""
-        local = int(np.round(float(snr_db) / self.snr_quantum_db))
-        local -= self.bin_origin
+        local = self._local_bin(snr_db)
         if not 0 <= local < len(self):
             raise OptimizationError(
                 f"SNR {snr_db:g} dB is outside the policy axis "
@@ -442,15 +438,10 @@ class PolicyTable:
         self, config_index: int, distance_m: Optional[float] = None
     ) -> StackConfig:
         """Materialize one grid configuration index as a :class:`StackConfig`."""
-        ptx, payload, tries, retry_ms, qmax, tpkt_ms = self.knobs
-        return StackConfig(
-            distance_m=self.distance_m if distance_m is None else distance_m,
-            ptx_level=int(ptx[config_index]),
-            payload_bytes=int(payload[config_index]),
-            n_max_tries=int(tries[config_index]),
-            d_retry_ms=float(retry_ms[config_index]),
-            q_max=int(qmax[config_index]),
-            t_pkt_ms=float(tpkt_ms[config_index]),
+        return knob_config(
+            self.knobs,
+            config_index,
+            self.distance_m if distance_m is None else distance_m,
         )
 
     def lookup(

@@ -6,34 +6,32 @@ output-power offset ``P_out(p) − P_out(31)``, so the whole fleet shares
 one knob-column grid and differs only by a per-link scalar. One step
 
 1. quantizes the fleet's SNR column to ``snr_quantum_db`` bins (0 keeps
-   exact values) and collapses duplicates with ``np.unique`` — ten
-   thousand links typically fold into a few hundred distinct SNRs;
-2. evaluates the Table III metrics for every (unique SNR × grid config)
-   pair through :func:`~repro.core.optimization.evaluate_metric_planes`
-   — the same arithmetic as the per-link columnar kernels, blocked to
-   bound peak memory;
-3. solves the epsilon-constraint problem for all rows at once as a masked
-   ``argmin`` (first-index tie-break, identical to
-   :func:`~repro.core.optimization.solve_epsilon_constraint`);
-4. scatters the answers back to links and applies **hysteresis**: a
-   configured link switches only when the objective improves on its
-   current configuration (re-evaluated at the new SNR) by more than
-   ``hysteresis`` relative — the paper's "don't chase noise" guideline
-   at fleet scale.
+   exact values); a link with a non-finite SNR has no answer and is
+   marked infeasible;
+2. gathers each on-axis link's answer out of a lazily compiled
+   :class:`~repro.core.optimization.PolicyTable` — one ``np.take`` per
+   answer column, no solve;
+3. solves the remaining (off-axis) links' distinct quantized SNRs with
+   :func:`~repro.core.optimization.solve_rows`, the same row solver the
+   table was compiled with, so both kinds of answer are identical to
+   :func:`~repro.core.optimization.solve_epsilon_constraint` (first-index
+   tie-break) — ten thousand links typically fold into a few hundred
+   distinct SNRs;
+4. applies **hysteresis**: a configured link switches only when the
+   objective improves on its current configuration (re-evaluated at the
+   new SNR) by more than ``hysteresis`` relative — the paper's "don't
+   chase noise" guideline at fleet scale.
 
-With ``use_policy=True`` (the default) steps 2–3 are replaced by an O(1)
-gather out of a lazily compiled
-:class:`~repro.core.optimization.PolicyTable`: the whole supported SNR
-axis is solved once on the first step, after which every link's answer
-is one ``np.take`` per answer column — no per-step solve at all, and
-bit-identical results because the table stores the same masked-argmin
-answers the exact path computes. Links whose SNR falls off the policy
-axis fall back to the exact solve for just those bins.
+With ``use_policy=False`` or ``snr_quantum_db=0`` there is no table, so
+every link is off-axis and step 3 solves the whole fleet: the exact
+reference mode.
 
 Links with no feasible configuration are marked ``config_index = −1``
 (objective NaN) and the step carries on; ``strict=True`` instead raises
 the exact :class:`~repro.errors.InfeasibleError` the per-link solver
-would have raised for the first such link.
+would have raised for the first such link, or a
+:class:`~repro.errors.FleetError` naming the first link whose SNR is not
+finite.
 """
 
 # reprolint: hot-path — per-tick fleet solve timed by BENCH_fleet.json
@@ -47,17 +45,22 @@ import numpy as np
 from ..config import StackConfig
 from ..core.optimization import (
     DEFAULT_SNR_RANGE_DB,
-    OBJECTIVE_PLANES,
     Constraint,
     ModelEvaluator,
     PolicyTable,
+    RowAnswers,
     TuningGrid,
+    check_objectives,
     evaluate_metric_planes,
+    feasible_mask,
     grid_knob_columns,
     infeasible_error,
+    knob_config,
     level_offset_lut_db,
-    masked_argmin_rows,
+    objective_from_planes,
+    quantize_snr_db,
     snr_map_from_reference,
+    solve_rows,
 )
 from ..errors import FleetError
 from .state import FleetState
@@ -72,28 +75,13 @@ __all__ = [
 #: PA level the fleet's per-link SNR columns are referenced to.
 REFERENCE_LEVEL = 31
 
-#: Objective name → (metric-plane key, minimization sign) — the shared
-#: policy-module mapping, re-exported under the engine's historical name.
-_OBJECTIVE_PLANES: Mapping[str, Tuple[str, float]] = OBJECTIVE_PLANES
-
-
 def objective_from_metrics(
     metrics: Mapping[str, np.ndarray], name: str
 ) -> np.ndarray:
-    """One objective in minimization form from a metric-plane mapping.
-
-    Accepts the same names (and applies the same goodput negation) as
-    :meth:`GridEvaluation.objective_column`, so plane solves and columnar
-    grid solves rank configurations identically.
-    """
-    try:
-        key, sign = _OBJECTIVE_PLANES[name]
-    except KeyError:
-        raise FleetError(
-            f"unknown objective {name!r}; valid: {sorted(_OBJECTIVE_PLANES)}"
-        ) from None
-    plane = metrics[key]
-    return -plane if sign < 0 else plane
+    """:func:`~repro.core.optimization.objective_from_planes`, raising
+    :class:`~repro.errors.FleetError` for an unknown objective name."""
+    check_objectives(name, error=FleetError)
+    return objective_from_planes(metrics, name)
 
 
 @dataclass(frozen=True)
@@ -167,17 +155,7 @@ class FleetEngine:
         use_policy: bool = True,
         policy_snr_range_db: Tuple[float, float] = DEFAULT_SNR_RANGE_DB,
     ) -> None:
-        if objective not in _OBJECTIVE_PLANES:
-            raise FleetError(
-                f"unknown objective {objective!r}; "
-                f"valid: {sorted(_OBJECTIVE_PLANES)}"
-            )
-        for constraint in constraints:
-            if constraint.objective not in _OBJECTIVE_PLANES:
-                raise FleetError(
-                    f"unknown constraint objective {constraint.objective!r}; "
-                    f"valid: {sorted(_OBJECTIVE_PLANES)}"
-                )
+        check_objectives(objective, constraints, error=FleetError)
         if hysteresis < 0:
             raise FleetError(f"hysteresis must be >= 0, got {hysteresis!r}")
         if snr_quantum_db < 0:
@@ -215,14 +193,12 @@ class FleetEngine:
             float(policy_snr_range_db[1]),
         )
         self._policy: Optional[PolicyTable] = None
-        knobs = grid_knob_columns(self.grid)
-        self._ptx, self._payload, self._tries = knobs[0], knobs[1], knobs[2]
-        self._retry_ms, self._qmax, self._tpkt_ms = knobs[3], knobs[4], knobs[5]
+        self._knobs = grid_knob_columns(self.grid)
         #: Per-configuration SNR offset from the reference level (dB).
-        self._offset_db = level_offset_lut_db(self._ptx)[self._ptx]
+        self._offset_db = level_offset_lut_db(self._knobs[0])[self._knobs[0]]
 
     def __len__(self) -> int:
-        return len(self._ptx)
+        return len(self._knobs[0])
 
     @property
     def knob_columns(
@@ -238,94 +214,24 @@ class FleetEngine:
         so layered engines (routing) can materialize per-link knobs from
         a report's configuration indices without re-deriving the grid.
         """
-        return (
-            self._ptx,
-            self._payload,
-            self._tries,
-            self._retry_ms,
-            self._qmax,
-            self._tpkt_ms,
-        )
+        return self._knobs
 
     @property
     def config_offset_db(self) -> np.ndarray:
         """Per-configuration SNR offset from the reference level (dB)."""
         return self._offset_db
 
-    # ------------------------------------------------------------ planes
-
-    def _planes(self, snr_db: np.ndarray) -> Dict[str, np.ndarray]:
-        """Metric planes for the given per-element SNR (broadcast vs knobs)."""
-        return evaluate_metric_planes(
-            self.evaluator,
-            ptx_level=self._ptx,
-            payload_bytes=self._payload,
-            n_max_tries=self._tries,
-            d_retry_ms=self._retry_ms,
-            q_max=self._qmax,
-            t_pkt_ms=self._tpkt_ms,
-            snr_db=snr_db,
-        )
-
-    def _feasible_mask(self, metrics: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Boolean feasibility of every plane element under the constraints."""
-        feasible = np.ones(metrics["rho"].shape, dtype=bool)
-        for constraint in self.constraints:
-            feasible &= (
-                objective_from_metrics(metrics, constraint.objective)
-                <= constraint.upper_bound
-            )
-        return feasible
-
     def quantize_snr_db(self, snr_db: np.ndarray) -> np.ndarray:
         """The SNR column snapped to ``snr_quantum_db`` bins (0 = exact)."""
-        snr = np.asarray(snr_db, dtype=float)
-        if self.snr_quantum_db == 0.0:
-            return snr
-        return np.round(snr / self.snr_quantum_db) * self.snr_quantum_db
-
-    def _raise_infeasible(self, snr_db: float) -> None:
-        """Raise the per-link solver's exact infeasibility diagnosis."""
-        metrics = self._planes(snr_db + self._offset_db[None, :])
-        raise infeasible_error(
-            self.constraints,
-            lambda objective: float(
-                objective_from_metrics(metrics, objective).min()
-            ),
-        )
+        return quantize_snr_db(snr_db, self.snr_quantum_db)
 
     # -------------------------------------------------------------- step
-
-    def _solve_unique(
-        self, unique_snr_db: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Best (index, objective, feasibility) per unique SNR row."""
-        n_unique = unique_snr_db.size
-        n_configs = len(self)
-        best_index = np.empty(n_unique, dtype=np.int64)
-        best_objective = np.empty(n_unique, dtype=float)
-        has_feasible = np.empty(n_unique, dtype=bool)
-        rows_per_block = max(1, self.block_elements // n_configs)
-        for start in range(0, n_unique, rows_per_block):
-            stop = min(start + rows_per_block, n_unique)
-            plane_snr_db = (
-                unique_snr_db[start:stop, None] + self._offset_db[None, :]
-            )
-            metrics = self._planes(plane_snr_db)
-            objective = objective_from_metrics(metrics, self.objective)
-            feasible = self._feasible_mask(metrics)
-            chosen, row_feasible = masked_argmin_rows(objective, feasible)
-            taken = np.take_along_axis(objective, chosen[:, None], axis=1)
-            best_index[start:stop] = chosen
-            best_objective[start:stop] = taken[:, 0]
-            has_feasible[start:stop] = row_feasible
-        return best_index, best_objective, has_feasible
 
     def policy_table(self) -> Optional[PolicyTable]:
         """The compiled policy, or None when the exact path is in use.
 
         Compiled lazily on first access — one blocked pass over the whole
-        SNR axis, after which every step is gather-only.
+        SNR axis, after which every on-axis link is gather-only.
         """
         if not self.use_policy:
             return None
@@ -341,34 +247,17 @@ class FleetEngine:
             )
         return self._policy
 
-    def _candidates_policy(
-        self, policy: PolicyTable, quantized_snr_db: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
-        """Per-link candidates as an O(1) bin gather out of the policy.
-
-        Links whose quantized SNR falls off the compiled axis are solved
-        exactly (one masked argmin over just those bins) and scattered
-        back, so answers match the exact path everywhere.
-        """
-        # reprolint: hot-path — the per-step np.take gather BENCH_policy.json times
-        local = policy.local_bins(quantized_snr_db)
-        on_axis = policy.in_axis(local)
-        index, objective, feasible = policy.take(np.where(on_axis, local, 0))
-        n_fallback = int(np.count_nonzero(~on_axis))
-        if n_fallback:
-            off_axis = ~on_axis
-            unique_off_db, inverse_off = np.unique(
-                quantized_snr_db[off_axis], return_inverse=True
-            )
-            off_index, off_objective, off_feasible = self._solve_unique(
-                unique_off_db
-            )
-            index[off_axis] = off_index[inverse_off]
-            objective[off_axis] = off_objective[inverse_off]
-            feasible[off_axis] = off_feasible[inverse_off]
-        n_unique = int(np.unique(local).size)
-        n_policy = int(quantized_snr_db.size) - n_fallback
-        return index, objective, feasible, n_unique, n_policy, n_fallback
+    def _solve(self, snr_db: np.ndarray) -> RowAnswers:
+        """The row solver's answers at each (quantized) reference SNR."""
+        return solve_rows(
+            self.evaluator,
+            self._knobs,
+            self._offset_db,
+            snr_db,
+            self.objective,
+            self.constraints,
+            self.block_elements,
+        )
 
     def _current_objective(
         self, state: FleetState, snr_db: np.ndarray, has_current: np.ndarray
@@ -381,55 +270,81 @@ class FleetEngine:
         caller masks out via ``has_current``.
         """
         safe_index = np.where(has_current, state.config_index, 0)
+        ptx, payload, tries, retry_ms, qmax, tpkt_ms = self._knobs
         metrics = evaluate_metric_planes(
             self.evaluator,
-            ptx_level=self._ptx[safe_index],
-            payload_bytes=self._payload[safe_index],
-            n_max_tries=self._tries[safe_index],
-            d_retry_ms=self._retry_ms[safe_index],
-            q_max=self._qmax[safe_index],
-            t_pkt_ms=self._tpkt_ms[safe_index],
+            ptx_level=ptx[safe_index],
+            payload_bytes=payload[safe_index],
+            n_max_tries=tries[safe_index],
+            d_retry_ms=retry_ms[safe_index],
+            q_max=qmax[safe_index],
+            t_pkt_ms=tpkt_ms[safe_index],
             snr_db=snr_db + self._offset_db[safe_index],
         )
         current_objective = objective_from_metrics(metrics, self.objective)
-        current_feasible = self._feasible_mask(metrics)
+        current_feasible = feasible_mask(metrics, self.constraints)
         return current_objective, current_feasible
 
     def step(self, state: FleetState, step_index: int = 0) -> FleetStepReport:
         """Recommend configurations for every link and update the state.
 
-        One vectorized pass: with the policy enabled, links gather their
-        bin's precompiled answer; otherwise unique quantized SNRs are
-        solved once and links inherit their bin's answer. Either way
-        hysteresis decides whether each configured link actually switches.
+        One vectorized pass: links on the policy axis gather their bin's
+        precompiled answer, the rest are solved once per distinct
+        quantized SNR, and hysteresis decides whether each configured
+        link actually switches. A link whose SNR is not finite has no
+        answer: it is marked infeasible (a :class:`FleetError` in strict
+        mode).
         """
         quantized_snr_db = self.quantize_snr_db(state.snr_db)
+        finite = np.isfinite(quantized_snr_db)
+        if not finite.all():
+            if self.strict:
+                first = int(np.argmin(finite))
+                raise FleetError(
+                    f"link {first} has a non-finite SNR "
+                    f"({float(state.snr_db[first])!r} dB)"
+                )
+            # Keep NaN/inf out of the bin cast, np.unique and the planes;
+            # those lanes stay infeasible.
+            quantized_snr_db = np.where(finite, quantized_snr_db, 0.0)
+
+        # The one candidate path: links on the policy axis gather their
+        # bin's answer, every other finite link is solved once per
+        # distinct quantized SNR. Without a table every link is off-axis.
+        n_links = len(state)
+        candidate_index = np.full(n_links, -1, dtype=np.int64)
+        candidate_objective = np.full(n_links, np.nan)
+        feasible = np.zeros(n_links, dtype=bool)
+        on_axis = np.zeros(n_links, dtype=bool)
+        n_unique_bins = 0
         policy = self.policy_table()
         if policy is not None:
+            local = policy.local_bins(quantized_snr_db)
+            on_axis = finite & policy.in_axis(local)
+            bins = local[on_axis]
             (
-                candidate_index,
-                candidate_objective,
-                feasible,
-                n_unique_bins,
-                n_policy_links,
-                n_fallback_links,
-            ) = self._candidates_policy(policy, quantized_snr_db)
-        else:
+                candidate_index[on_axis],
+                candidate_objective[on_axis],
+                feasible[on_axis],
+            ) = policy.take(bins)
+            n_unique_bins = int(np.count_nonzero(np.bincount(bins)))
+        off_axis = finite & ~on_axis
+        if off_axis.any():
             unique_snr_db, inverse = np.unique(
-                quantized_snr_db, return_inverse=True
+                quantized_snr_db[off_axis], return_inverse=True
             )
-            best_index, best_objective, has_feasible = self._solve_unique(
-                unique_snr_db
-            )
-            candidate_index = best_index[inverse]
-            candidate_objective = best_objective[inverse]
-            feasible = has_feasible[inverse]
-            n_unique_bins = int(unique_snr_db.size)
-            n_policy_links = 0
-            n_fallback_links = 0
+            answers = self._solve(unique_snr_db)
+            candidate_index[off_axis] = answers.best_index[inverse]
+            candidate_objective[off_axis] = answers.best_objective[inverse]
+            feasible[off_axis] = answers.feasible[inverse]
+            n_unique_bins += int(unique_snr_db.size)
         if self.strict and not feasible.all():
             first = int(np.argmin(feasible))
-            self._raise_infeasible(float(quantized_snr_db[first]))
+            answers = self._solve(quantized_snr_db[first : first + 1])
+            raise infeasible_error(
+                self.constraints,
+                lambda name: float(answers.constraint_best[name][0]),
+            )
 
         has_current = state.config_index >= 0
         if has_current.any():
@@ -447,8 +362,8 @@ class FleetEngine:
                     | (improvement > threshold)
                 )
         else:
-            current_objective = np.full(len(state), np.nan)
-            adopt = np.ones(len(state), dtype=bool)
+            current_objective = np.full(n_links, np.nan)
+            adopt = np.ones(n_links, dtype=bool)
 
         new_index = np.where(
             ~feasible,
@@ -466,7 +381,7 @@ class FleetEngine:
         state.objective_value = new_objective
         return FleetStepReport(
             step_index=int(step_index),
-            n_links=len(state),
+            n_links=n_links,
             n_unique_snr_bins=n_unique_bins,
             n_reconfigured=int(np.count_nonzero(reconfigured)),
             n_infeasible=int(np.count_nonzero(infeasible)),
@@ -474,8 +389,11 @@ class FleetEngine:
             objective_value=new_objective,
             reconfigured=reconfigured,
             infeasible=infeasible,
-            n_policy_links=n_policy_links,
-            n_fallback_links=n_fallback_links,
+            n_policy_links=int(np.count_nonzero(on_axis)),
+            # Without a table there is nothing to fall back from.
+            n_fallback_links=(
+                int(np.count_nonzero(~on_axis)) if policy is not None else 0
+            ),
         )
 
     # ------------------------------------------------------------ lookup
@@ -487,12 +405,4 @@ class FleetEngine:
                 f"configuration index {index!r} outside the "
                 f"{len(self)}-entry grid"
             )
-        return StackConfig(
-            distance_m=distance_m,
-            ptx_level=int(self._ptx[index]),
-            payload_bytes=int(self._payload[index]),
-            n_max_tries=int(self._tries[index]),
-            d_retry_ms=float(self._retry_ms[index]),
-            q_max=int(self._qmax[index]),
-            t_pkt_ms=float(self._tpkt_ms[index]),
-        )
+        return knob_config(self._knobs, index, distance_m)

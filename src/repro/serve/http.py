@@ -29,8 +29,9 @@ queue behind it.
 Connections are HTTP/1.1 keep-alive on ``TCP_NODELAY`` sockets, and
 each response leaves in one buffered write flushed at the end of the
 request, so no request waits on the peer's delayed ACK. A rejection
-that leaves the request body unread closes the connection, so the
-unread bytes are never parsed as a next request.
+that leaves the request body unread (a GET that carries a body
+included) closes the connection, so the unread bytes are never parsed
+as a next request.
 """
 
 from __future__ import annotations
@@ -207,7 +208,14 @@ class OracleRequestHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
         client = self.server.client
-        if self.path == "/healthz":
+        length = self.headers.get("Content-Length")
+        if self.headers.get("Transfer-Encoding") is not None or (
+            length is not None and length.strip() != "0"
+        ):
+            self._reject_unread_body(
+                400, ProtocolError("a GET request takes no body", field="body")
+            )
+        elif self.path == "/healthz":
             self._send_json(200, client.healthz())
         elif self.path == "/metrics":
             self._send_json(200, client.metrics())

@@ -60,6 +60,7 @@ from ..core.optimization import (
     PolicyTable,
     TuningGrid,
     evaluate_grid_columns,
+    quantize_snr_db,
     solve_epsilon_constraint,
 )
 from .cache import CacheStats, LruCache
@@ -331,9 +332,8 @@ class Oracle:
         """
         if not self.policy or link.snr_db is None:
             return None
-        quantum = self.snr_quantum_db
         return LinkSpec(
-            snr_db=float(np.round(link.snr_db / quantum) * quantum)
+            snr_db=float(quantize_snr_db(link.snr_db, self.snr_quantum_db))
         )
 
     def table_for(self, link: LinkSpec) -> Tuple[SweepTable, str]:

@@ -18,8 +18,10 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..config import StackConfig
 from ..core.optimization import (
+    OBJECTIVE_PLANES,
     ConfigEvaluation,
     Constraint,
+    check_objectives,
     snr_map_from_environment,
     snr_map_from_reference,
 )
@@ -46,16 +48,9 @@ __all__ = [
     "parse_telemetry",
 ]
 
-#: Objectives a request may optimize or constrain (minimization form, the
-#: names understood by :meth:`ConfigEvaluation.objective`).
-OBJECTIVES: Tuple[str, ...] = (
-    "energy",
-    "goodput",
-    "delay",
-    "loss",
-    "loss_radio",
-    "rho",
-)
+#: Objectives a request may optimize or constrain: the names of the
+#: core's objective table.
+OBJECTIVES: Tuple[str, ...] = tuple(OBJECTIVE_PLANES)
 
 #: Rounding applied to link floats when forming cache keys, so that two
 #: requests differing only by float noise (1e-9 m apart) share an entry.
@@ -145,16 +140,7 @@ class RecommendRequest:
     constraints: Tuple[Constraint, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.objective not in OBJECTIVES:
-            raise ProtocolError(
-                f"unknown objective {self.objective!r}; valid: {list(OBJECTIVES)}"
-            )
-        for constraint in self.constraints:
-            if constraint.objective not in OBJECTIVES:
-                raise ProtocolError(
-                    f"unknown constraint objective {constraint.objective!r}; "
-                    f"valid: {list(OBJECTIVES)}"
-                )
+        check_objectives(self.objective, self.constraints, ProtocolError)
 
 
 @dataclass(frozen=True)
@@ -239,16 +225,7 @@ class FleetRecommendRequest:
                 f"a fleet request carries at most {MAX_FLEET_LINKS} links, "
                 f"got {len(self.links)}"
             )
-        if self.objective not in OBJECTIVES:
-            raise ProtocolError(
-                f"unknown objective {self.objective!r}; valid: {list(OBJECTIVES)}"
-            )
-        for constraint in self.constraints:
-            if constraint.objective not in OBJECTIVES:
-                raise ProtocolError(
-                    f"unknown constraint objective {constraint.objective!r}; "
-                    f"valid: {list(OBJECTIVES)}"
-                )
+        check_objectives(self.objective, self.constraints, ProtocolError)
         if self.routing is not None and len(self.routing.edges) != len(
             self.links
         ):

@@ -17,8 +17,9 @@ format:
 Both paths apply strict bounds checking: encoding a value whose raw
 fixed-point representation leaves the field's integer domain raises
 :class:`~repro.errors.TelemetryError`, and decoding a payload that is
-truncated, misaligned, or stamped with the wrong version byte raises
-:class:`~repro.errors.ProtocolError` instead of mis-decoding.
+truncated, misaligned, stamped with the wrong version byte, or carrying
+a NaN/infinite float raises :class:`~repro.errors.ProtocolError` instead
+of mis-decoding.
 
 Decoded column dtypes: unscaled integer fields come back as ``int64``
 (``u64`` as ``uint64``, which int64 cannot hold), scaled integers and
@@ -191,8 +192,9 @@ class UplinkCodec:
 
         One ``np.frombuffer`` view plus one vectorized cast per field —
         no per-frame Python work. Raises
-        :class:`~repro.errors.ProtocolError` on misaligned payloads or
-        any frame whose version byte disagrees with the template.
+        :class:`~repro.errors.ProtocolError` on misaligned payloads, any
+        frame whose version byte disagrees with the template, and any
+        NaN or infinite float field.
         """
         frame = self.frame_bytes
         if len(payload) % frame:
@@ -215,7 +217,16 @@ class UplinkCodec:
         for name, kind, scale in self._fields:
             raw = records[name]
             if kind.is_float:
-                columns[name] = raw.astype(np.float64)
+                column = raw.astype(np.float64)
+                finite = np.isfinite(column)
+                if not finite.all():
+                    bad = int(np.argmin(finite))
+                    raise ProtocolError(
+                        f"frame {bad} carries a non-finite {name!r} "
+                        f"({float(column[bad])!r})",
+                        field=name,
+                    )
+                columns[name] = column
             elif scale != 1.0:
                 columns[name] = raw.astype(np.float64) * scale
             elif kind.numpy_code == "u8":

@@ -355,11 +355,23 @@ class TestConnections:
     def test_rejected_unread_body_closes_the_connection(
         self, server, path, header, status
     ):
+        self.assert_hidden_request_never_runs(server, "POST", path, header, status)
+
+    @pytest.mark.parametrize(
+        "header",
+        [f"Content-Length: {len(HIDDEN)}", "Transfer-Encoding: chunked"],
+        ids=["content-length", "chunked"],
+    )
+    def test_get_with_a_body_closes_the_connection(self, server, header):
+        self.assert_hidden_request_never_runs(server, "GET", "/healthz", header, 400)
+
+    def assert_hidden_request_never_runs(self, server, method, path, header, status):
+        """Send ``HIDDEN`` as the body; expect one response, then a close."""
         metrics = server.client.service.metrics
         requests_before = metrics.counter("http_requests_total")
         ok_before = metrics.counter("http_status_200_total")
         head = (
-            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
             f"Content-Type: application/json\r\n{header}\r\n\r\n"
         ).encode("ascii")
         received = b""

@@ -106,6 +106,21 @@ class TestFrameDefects:
         with pytest.raises(ProtocolError):
             decode_uplink_batch(b"\xff" + b"\x00" * 12, codecs)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_batch_decode_rejects_non_finite_float(self, value):
+        codec = UplinkCodec(UPLINK_TEMPLATE_EXACT)
+        columns = {
+            "link_id": np.arange(3, dtype=np.int64),
+            "seq": np.zeros(3, dtype=np.int64),
+            "snr_db": np.array([5.0, value, 7.0]),
+            "plr": np.zeros(3),
+        }
+        payload = codec.encode_batch(columns)
+        with pytest.raises(ProtocolError, match="frame 1") as exc_info:
+            codec.decode_batch(payload)
+        assert exc_info.value.field == "snr_db"
+        assert "snr_db" in str(exc_info.value)
+
     def test_error_carries_field_attribute(self):
         codec = UplinkCodec(UPLINK_TEMPLATE_V1)
         with pytest.raises(ProtocolError) as exc_info:

@@ -23,6 +23,7 @@ from repro.telemetry import (
     TelemetryIngestor,
     TelemetrySnrSource,
     UPLINK_TEMPLATE_EXACT,
+    UplinkCodec,
 )
 
 TINY_GRID = TuningGrid(
@@ -282,6 +283,47 @@ class TestHttpLoop:
         assert body["error"]["field"] == "seq"
         status, metrics = get(server, "/metrics")
         assert metrics["counters"]["requests_rejected_protocol"] >= 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_is_a_400_and_leaves_state_alone(
+        self, telemetry_server, value
+    ):
+        server, ingestor, _ = telemetry_server
+        before = ingestor.state.snr_db.copy()
+        codec = UplinkCodec(UPLINK_TEMPLATE_EXACT)
+        binary = codec.encode_batch(
+            {
+                "link_id": np.arange(3, dtype=np.int64),
+                "seq": np.zeros(3, dtype=np.int64),
+                "snr_db": np.array([6.0, value, 8.0]),
+                "plr": np.zeros(3),
+            }
+        )
+        uplinks = [
+            {"link_id": 0, "seq": 0, "snr_db": 6.0, "plr": 0.0},
+            {"link_id": 1, "seq": 0, "snr_db": value, "plr": 0.0},
+        ]
+        for send in (
+            lambda: post_binary(server, binary),
+            lambda: post_json(
+                server,
+                "/v1/telemetry",
+                {"uplinks": uplinks, "template_version": 2},
+            ),
+        ):
+            _, metrics = get(server, "/metrics")
+            rejected = metrics["counters"].get("requests_rejected_protocol", 0)
+            status, body = send()
+            assert status == 400
+            assert body["error"]["type"] == "ProtocolError"
+            assert body["error"]["field"] == "snr_db"
+            assert "frame 1" in body["error"]["message"]
+            _, metrics = get(server, "/metrics")
+            assert (
+                metrics["counters"]["requests_rejected_protocol"]
+                == rejected + 1
+            )
+        np.testing.assert_array_equal(ingestor.state.snr_db, before)
 
     def test_telemetry_disabled_server_maps_to_404(self):
         service = OracleService(Oracle(grid=TINY_GRID), workers=1)
