@@ -15,9 +15,9 @@ per-link epsilon-constraint solver's answers. :func:`~repro.fleet.runner.
 run_fleet` ties the pieces into a crash-safe checkpointed run.
 """
 
+from ..core.optimization import REFERENCE_LEVEL
 from .drift import FleetDrift
 from .engine import (
-    REFERENCE_LEVEL,
     FleetEngine,
     FleetStepReport,
     objective_from_metrics,

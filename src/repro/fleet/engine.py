@@ -66,14 +66,11 @@ from ..errors import FleetError
 from .state import FleetState
 
 __all__ = [
-    "REFERENCE_LEVEL",
     "FleetEngine",
     "FleetStepReport",
     "objective_from_metrics",
 ]
 
-#: PA level the fleet's per-link SNR columns are referenced to.
-REFERENCE_LEVEL = 31
 
 def objective_from_metrics(
     metrics: Mapping[str, np.ndarray], name: str

@@ -15,36 +15,14 @@ from typing import Dict
 
 import numpy as np
 
-from ..channel.environment import Environment
 from ..errors import FleetError
-from ..radio import cc2420
-from ..serve.protocol import LinkSpec
+from ..serve.protocol import link_base_snr_db
 from .topology import FleetTopology
 
 __all__ = [
     "FleetState",
     "link_base_snr_db",
 ]
-
-
-def link_base_snr_db(link: LinkSpec, environment: Environment) -> float:
-    """A link's long-run mean SNR (dB) at reference PA level 31.
-
-    Matches :meth:`LinkSpec.snr_map` exactly at level 31: a reference-SNR
-    link contributes its ``snr_db`` shifted to level 31 (a no-op for the
-    default ``reference_level=31``), a distance link resolves through the
-    environment's path-loss and mean noise models. The engine recovers
-    every other level's SNR by adding the affine output-power offset.
-    """
-    reference_dbm = cc2420.output_power_dbm(31)
-    if link.snr_db is not None:
-        return link.snr_db + (
-            reference_dbm - cc2420.output_power_dbm(link.reference_level)
-        )
-    return (
-        environment.pathloss.mean_rssi_dbm(reference_dbm, link.distance_m)
-        - environment.noise.mean_dbm
-    )
 
 
 @dataclass

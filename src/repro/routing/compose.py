@@ -77,15 +77,17 @@ class PathMetrics:
         return int(self.leaf_nodes.size)
 
     def leaf_feasible(self, max_path_loss: Optional[float]) -> np.ndarray:
-        """Which leaf paths meet ``P(loss) <= max_path_loss``.
+        """Which leaf paths deliver and meet ``P(loss) <= max_path_loss``.
 
-        ``None`` means unconstrained: every path with a finite loss (i.e.
-        every composed path) passes.
+        A path that delivers nothing (a dead hop on it) never passes.
+        ``None`` means unconstrained: every other composed path passes.
         """
-        loss = self.loss_prob[self.leaf_nodes]
+        delivers = self.delivery_prob[self.leaf_nodes] > 0.0
         if max_path_loss is None:
-            return np.isfinite(loss)
-        return loss <= float(max_path_loss)
+            return delivers
+        return delivers & (
+            self.loss_prob[self.leaf_nodes] <= float(max_path_loss)
+        )
 
     def stats(self) -> Dict[str, object]:
         """Leaf-path summary, JSON-ready."""

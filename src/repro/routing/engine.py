@@ -258,7 +258,6 @@ class RoutedFleetEngine:
             goodput_kbps=goodput_edge,
         )
         feasible = paths.leaf_feasible(self.path_loss_eps)
-        feasible &= paths.delivery_prob[paths.leaf_nodes] > 0.0
 
         nodes = table.uplink_nodes
         uplinks = table.parent_edge[nodes]

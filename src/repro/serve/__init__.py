@@ -11,7 +11,8 @@ batched, and backpressured. Layering, top to bottom::
     client    in-process dict-in/dict-out facade — repro.serve.client
     service   bounded queue, micro-batching, worker pool, deadlines —
               repro.serve.service
-    oracle    two-tier sweep-table cache + vectorized solves —
+    oracle    one answer path over four cache tiers (policy,
+              precomputed, lru, miss) + vectorized solves —
               repro.serve.oracle / repro.serve.cache
     models    repro.core.optimization (unchanged)
 

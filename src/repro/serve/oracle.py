@@ -5,18 +5,19 @@ columnar :class:`~repro.core.optimization.GridEvaluation` produced by the
 vectorized kernels, so both the build (one broadcast pass over all
 configurations) and the epsilon-constraint solve of a query (a masked
 argmin) are numpy operations rather than Python scans. An :class:`Oracle`
-answers ``recommend`` and ``evaluate`` requests out of a two-tier table
-cache:
+answers ``recommend`` and ``evaluate`` requests; each recommend answer
+names one of four cache tiers:
 
-* **tier 0 (policy, opt-in)** — precompiled
+* ``policy`` (opt-in) — precompiled
   :class:`~repro.core.optimization.PolicyTable` answers covering the
   whole SNR axis: a default-bounds recommend becomes an O(1) bin lookup
   that never touches the solver, independent of grid size;
-* **tier 1 (precomputed)** — tables for the discretized Table-I distances,
+* ``precomputed`` — sweep tables for the discretized Table-I distances,
   built once at startup (``precompute``) and never evicted;
-* **tier 2 (LRU)** — tables for off-grid links (arbitrary distances,
+* ``lru`` — sweep tables for off-grid links (arbitrary distances,
   reference-SNR links), built on first use and bounded by
-  ``lru_capacity``.
+  ``lru_capacity``;
+* ``miss`` — a table built for this answer, then kept in the LRU.
 
 A cold query costs one columnar grid evaluation (single-digit
 milliseconds for the default 4560 configurations — the ``grid_eval_ms``
@@ -30,9 +31,11 @@ With the policy enabled the LRU is demoted to a fallback for requests
 the tables cannot serve — non-default constraint bounds and SNRs off the
 compiled axis — and reference-SNR cache keys are quantized to the policy
 bin, so two requests 0.01 dB apart share one table instead of missing
-each other (``bin_hit_rate`` in ``/metrics``). Answers for quantized
-links are the bin-center answers: exact at bin centers, and within the
-same quantization the fleet engine applies everywhere.
+each other (``bin_hit_rate`` in ``/metrics``); both bins are of the
+link's level-31 SNR (:func:`~repro.serve.protocol.link_base_snr_db`).
+Answers for quantized links are the bin-center answers: exact at bin
+centers, and within the same quantization the fleet engine applies
+everywhere.
 """
 
 # reprolint: hot-path — recommend/evaluate loop timed by perf/run.py http-mixed
@@ -42,17 +45,16 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..channel.environment import Environment, HALLWAY_2012
 from ..config import TABLE_I_SPACE
-from ..errors import InfeasibleError, ProtocolError, RoutingError
+from ..errors import InfeasibleError, ProtocolError, ReproError, RoutingError
 from ..core.optimization import (
     DEFAULT_SNR_QUANTUM_DB,
     DEFAULT_SNR_RANGE_DB,
-    REFERENCE_LEVEL,
     ConfigEvaluation,
     Constraint,
     GridEvaluation,
@@ -66,12 +68,12 @@ from ..core.optimization import (
 from .cache import CacheStats, LruCache
 from .metrics import DEFAULT_BUCKETS_MS, LatencyHistogram
 from .protocol import (
-    OBJECTIVES,
     EvaluateRequest,
     FleetRecommendRequest,
     LinkSpec,
     RecommendRequest,
     RoutingSpec,
+    link_base_snr_db,
 )
 
 __all__ = [
@@ -91,6 +93,10 @@ TIER_POLICY = "policy"
 TIER_PRECOMPUTED = "precomputed"
 TIER_LRU = "lru"
 TIER_MISS = "miss"
+
+#: One :meth:`Oracle.recommend_batch` answer: the evaluation or the
+#: error, and its tier (None when the shared table fetch failed).
+Answer = Tuple[Union[ConfigEvaluation, ReproError], Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -126,13 +132,6 @@ class SweepTable:
     def evaluations(self) -> Tuple[ConfigEvaluation, ...]:
         """Scalar rows in grid order (materialized on first access)."""
         return tuple(self.grid_eval.rows())
-
-    @property
-    def columns(self) -> Mapping[str, np.ndarray]:
-        """Objective name → minimization-form column, for every objective."""
-        return {
-            name: self.grid_eval.objective_column(name) for name in OBJECTIVES
-        }
 
     def column(self, objective: str) -> np.ndarray:
         """The minimization-form values of one objective across the grid."""
@@ -240,7 +239,7 @@ class FleetRecommendResult:
 
 
 class Oracle:
-    """Answers recommend/evaluate queries from the two-tier table cache.
+    """Answers recommend/evaluate queries from the four cache tiers.
 
     Thread-safe: tier bookkeeping is done under a lock, while the expensive
     table builds run outside it so concurrent queries for *different* links
@@ -327,13 +326,14 @@ class Oracle:
     def _bin_link(self, link: LinkSpec) -> Optional[LinkSpec]:
         """The link snapped to its policy SNR bin, or None when not binnable.
 
-        Only reference-SNR links on a policy-enabled oracle are binned;
-        distance links keep their exact keys.
+        Only reference-SNR links on a policy-enabled oracle are binned, by
+        their level-31 SNR; distance links keep their exact keys.
         """
         if not self.policy or link.snr_db is None:
             return None
+        snr_db = link_base_snr_db(link, self.environment)
         return LinkSpec(
-            snr_db=float(quantize_snr_db(link.snr_db, self.snr_quantum_db))
+            snr_db=float(quantize_snr_db(snr_db, self.snr_quantum_db))
         )
 
     def table_for(self, link: LinkSpec) -> Tuple[SweepTable, str]:
@@ -400,12 +400,6 @@ class Oracle:
             self.policy_for(objective)
         return len(objectives)
 
-    def _reference_snr_db(self, link: LinkSpec) -> float:
-        """The link's SNR at the policy reference PA level (dB)."""
-        if link.snr_db is not None:
-            return float(link.snr_db)
-        return float(link.snr_map(self.environment)[REFERENCE_LEVEL])
-
     def policy_recommend(
         self, request: RecommendRequest
     ) -> Optional[RecommendResult]:
@@ -413,7 +407,7 @@ class Oracle:
 
         None — a counted fallback — when the oracle has no policy, the
         request carries non-default constraint bounds, or the link's
-        reference SNR falls off the compiled axis. An infeasible bin
+        level-31 SNR falls off the compiled axis. An infeasible bin
         raises the stored :class:`~repro.errors.InfeasibleError`, byte
         for byte what the solver would have said.
         """
@@ -424,7 +418,7 @@ class Oracle:
                 self._policy_fallbacks += 1
             return None
         table = self.policy_for(request.objective)
-        snr_db = self._reference_snr_db(request.link)
+        snr_db = link_base_snr_db(request.link, self.environment)
         if not table.covers(snr_db):
             with self._lock:
                 self._policy_fallbacks += 1
@@ -433,24 +427,6 @@ class Oracle:
             self._policy_lookups += 1
         evaluation = table.lookup(snr_db, request.link.grid_distance_m())
         return RecommendResult(evaluation=evaluation, cache_tier=TIER_POLICY)
-
-    def _policy_answer(
-        self,
-        link: LinkSpec,
-        objective: str,
-        constraints: Tuple[Constraint, ...],
-    ) -> Optional[Tuple[Optional[ConfigEvaluation], Optional[str], str]]:
-        """One fleet link's policy answer in in-band-error form, or None."""
-        request = RecommendRequest(
-            link=link, objective=objective, constraints=constraints
-        )
-        try:
-            result = self.policy_recommend(request)
-        except InfeasibleError as exc:
-            return (None, str(exc), TIER_POLICY)
-        if result is None:
-            return None
-        return (result.evaluation, None, TIER_POLICY)
 
     def _solve_table(
         self,
@@ -514,30 +490,58 @@ class Oracle:
 
     # ------------------------------------------------------------ queries
 
-    def recommend(self, request: RecommendRequest) -> RecommendResult:
-        """Best grid configuration for the request's link and objective.
+    def recommend_batch(
+        self, requests: Sequence[RecommendRequest]
+    ) -> List[Answer]:
+        """Answer recommend requests for one link: the one answer path.
 
-        Policy-first: with the policy enabled, a default-bounds request
-        is answered by an O(1) bin lookup; everything else goes through
-        the two-tier table cache and the vectorized solver.
+        Each request tries :meth:`policy_recommend`; the rest share one
+        :meth:`table_for` fetch and are each solved by
+        :meth:`recommend_from_table`. A :class:`~repro.errors.ReproError`
+        is returned in its request's place; anything else propagates.
         """
-        result = self.policy_recommend(request)
-        if result is not None:
-            return result
-        table, tier = self.table_for(request.link)
-        evaluation = self._solve_table(
-            table, request.objective, request.constraints
-        )
-        return RecommendResult(evaluation=evaluation, cache_tier=tier)
+        answers: List[Optional[Answer]] = [None] * len(requests)
+        for index, request in enumerate(requests):
+            try:
+                result = self.policy_recommend(request)
+            except ReproError as exc:
+                answers[index] = (exc, TIER_POLICY)
+                continue
+            if result is not None:
+                answers[index] = (result.evaluation, TIER_POLICY)
+        rest = [index for index, answer in enumerate(answers) if answer is None]
+        if rest:
+            try:
+                table, tier = self.table_for(requests[rest[0]].link)
+            except ReproError as exc:
+                for index in rest:
+                    answers[index] = (exc, None)
+            else:
+                for index in rest:
+                    try:
+                        answers[index] = (
+                            self.recommend_from_table(table, requests[index]),
+                            tier,
+                        )
+                    except ReproError as exc:
+                        answers[index] = (exc, tier)
+        return answers  # type: ignore[return-value]
+
+    def recommend(self, request: RecommendRequest) -> RecommendResult:
+        """Best grid configuration for the request's link and objective."""
+        ((outcome, tier),) = self.recommend_batch((request,))
+        if isinstance(outcome, ReproError):
+            raise outcome
+        return RecommendResult(evaluation=outcome, cache_tier=tier)
 
     def recommend_from_table(
         self, table: SweepTable, request: RecommendRequest
     ) -> ConfigEvaluation:
         """Solve one request against an already-fetched table.
 
-        Used by the micro-batcher: the table is fetched once for a batch of
-        compatible requests, then each request's objective/constraints are
-        solved here without touching the cache again.
+        Used by :meth:`recommend_batch`: the table is fetched once for a
+        batch of same-link requests, then each request's objective and
+        constraints are solved here without touching the cache again.
         """
         return self._solve_table(table, request.objective, request.constraints)
 
@@ -546,9 +550,8 @@ class Oracle:
     ) -> FleetRecommendResult:
         """Answer a whole fleet batch with one solve per *distinct* link.
 
-        Links are grouped by cache key, each distinct link costs one
-        two-tier table lookup (a columnar grid evaluation at worst) plus
-        one vectorized epsilon-constraint solve — the shared objective and
+        Links are grouped by cache key and each distinct link is answered
+        by one :meth:`recommend_batch` call — the shared objective and
         constraints make every duplicate link a pure scatter. A link with
         no feasible configuration records its
         :class:`~repro.errors.InfeasibleError` message in-band; any other
@@ -558,39 +561,29 @@ class Oracle:
         for link in request.links:
             distinct.setdefault(link.key(), link)
         answers: Dict[Tuple[object, ...], Tuple[
-            Optional[ConfigEvaluation], Optional[str], str
+            Optional[ConfigEvaluation], Optional[str], Optional[str]
         ]] = {}
         for key, link in distinct.items():
-            answer = self._policy_answer(
+            single = RecommendRequest(
                 link, request.objective, request.constraints
             )
-            if answer is not None:
-                answers[key] = answer
-                continue
-            table, tier = self.table_for(link)
-            try:
-                evaluation = self._solve_table(
-                    table, request.objective, request.constraints
-                )
-            except InfeasibleError as exc:
-                answers[key] = (None, str(exc), tier)
+            ((outcome, tier),) = self.recommend_batch((single,))
+            if isinstance(outcome, InfeasibleError):
+                answers[key] = (None, str(outcome), tier)
+            elif isinstance(outcome, ReproError):
+                raise outcome
             else:
-                answers[key] = (evaluation, None, tier)
-        evaluations = []
-        errors = []
-        tiers = []
-        for link in request.links:
-            evaluation, error, tier = answers[link.key()]
-            evaluations.append(evaluation)
-            errors.append(error)
-            tiers.append(tier)
+                answers[key] = (outcome, None, tier)
+        evaluations, errors, tiers = zip(
+            *(answers[link.key()] for link in request.links)
+        )
         routing = None
         if request.routing is not None:
             routing = self._routed_summary(request.routing, evaluations)
         return FleetRecommendResult(
-            evaluations=tuple(evaluations),
-            errors=tuple(errors),
-            cache_tiers=tuple(tiers),
+            evaluations=evaluations,
+            errors=errors,
+            cache_tiers=tiers,
             n_unique_links=len(distinct),
             routing=routing,
         )
@@ -647,7 +640,6 @@ class Oracle:
         )
         leaves = paths.leaf_nodes
         feasible = paths.leaf_feasible(spec.max_path_loss)
-        feasible &= paths.delivery_prob[leaves] > 0.0
         rows = None
         if spec.include_paths:
             rows = tuple(

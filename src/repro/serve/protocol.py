@@ -19,6 +19,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from ..config import StackConfig
 from ..core.optimization import (
     OBJECTIVE_PLANES,
+    REFERENCE_LEVEL,
     ConfigEvaluation,
     Constraint,
     check_objectives,
@@ -27,6 +28,7 @@ from ..core.optimization import (
 )
 from ..channel.environment import Environment
 from ..errors import ConfigurationError, ProtocolError
+from ..radio import cc2420
 
 __all__ = [
     "FLEET_ROUTING_STRATEGIES",
@@ -40,6 +42,7 @@ __all__ = [
     "RoutingSpec",
     "TelemetryRequest",
     "evaluation_as_dict",
+    "link_base_snr_db",
     "parse_link",
     "parse_recommend",
     "parse_evaluate",
@@ -81,7 +84,8 @@ class LinkSpec:
     ``distance_m`` resolves SNR per power level through the channel model
     of the service's environment; ``snr_db`` instead assumes SNR tracks
     output power dB-for-dB from ``reference_level`` (the paper's case-study
-    convention). Exactly one of the two must be given.
+    convention), which must be a CC2420 PA level. Exactly one of the two
+    must be given.
     """
 
     distance_m: Optional[float] = None
@@ -102,6 +106,12 @@ class LinkSpec:
         if self.distance_m is not None and self.distance_m <= 0:
             raise ProtocolError(
                 f"distance_m must be positive, got {self.distance_m!r}"
+            )
+        if self.reference_level not in cc2420.PA_LEVELS:
+            raise ProtocolError(
+                f"reference_level must be a CC2420 PA level "
+                f"{list(cc2420.PA_LEVELS)}, got {self.reference_level!r}",
+                field="reference_level",
             )
 
     def key(self) -> Tuple[object, ...]:
@@ -129,6 +139,26 @@ class LinkSpec:
         if self.distance_m is not None:
             return {"distance_m": self.distance_m}
         return {"snr_db": self.snr_db, "reference_level": self.reference_level}
+
+
+def link_base_snr_db(link: LinkSpec, environment: Environment) -> float:
+    """A link's long-run mean SNR (dB) at reference PA level 31.
+
+    Matches :meth:`LinkSpec.snr_map` exactly at level 31: a reference-SNR
+    link contributes its ``snr_db`` shifted to level 31 (a no-op for the
+    default ``reference_level=31``), a distance link resolves through the
+    environment's path-loss and mean noise models. The oracle's SNR bins
+    and the fleet engine's SNR columns all key on this value.
+    """
+    reference_dbm = cc2420.output_power_dbm(REFERENCE_LEVEL)
+    if link.snr_db is not None:
+        return link.snr_db + (
+            reference_dbm - cc2420.output_power_dbm(link.reference_level)
+        )
+    return (
+        environment.pathloss.mean_rssi_dbm(reference_dbm, link.distance_m)
+        - environment.noise.mean_dbm
+    )
 
 
 @dataclass(frozen=True)
@@ -333,7 +363,10 @@ def parse_link(data: object) -> LinkSpec:
     _reject_unknown(mapping, ("distance_m", "snr_db", "reference_level"), "link")
     reference = mapping.get("reference_level", 31)
     if isinstance(reference, bool) or not isinstance(reference, int):
-        raise ProtocolError(f"reference_level must be an integer, got {reference!r}")
+        raise ProtocolError(
+            f"reference_level must be an integer, got {reference!r}",
+            field="reference_level",
+        )
     return LinkSpec(
         distance_m=_parse_number(mapping, "distance_m"),
         snr_db=_parse_number(mapping, "snr_db"),

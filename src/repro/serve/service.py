@@ -11,8 +11,9 @@ a worker finishes later.
 
 Micro-batching: when a worker pops a ``recommend`` request it also pulls
 every other queued ``recommend`` for the *same link* (same cache key), up
-to ``max_batch``. The batch shares one sweep-table fetch — one grid
-evaluation on a cold link — and each request is then answered by its own
+to ``max_batch``, for one :meth:`~repro.serve.oracle.Oracle.recommend_batch`
+call. Members off the policy tier share one sweep-table fetch — one grid
+evaluation on a cold link — and each is then answered by its own
 vectorized solve. This is what turns a thundering herd of identical cold
 queries into a single model-evaluation pass.
 """
@@ -38,7 +39,7 @@ from .metrics import (
     LatencyHistogram,
     ServiceMetrics,
 )
-from .oracle import Oracle, RecommendResult
+from .oracle import TIER_POLICY, Oracle, RecommendResult
 from .protocol import (
     EvaluateRequest,
     FleetRecommendRequest,
@@ -412,46 +413,24 @@ class OracleService:
                     self._fail(pending, error)
 
     def _run_recommend_batch(self, batch: List[_Pending]) -> None:
-        # Policy-first: members the precompiled tables can answer never
-        # touch the sweep-table cache or the solver; only the remainder
-        # (non-default bounds, off-axis SNRs, policy disabled) pays the
-        # shared table fetch + per-request solve.
-        rest: List[_Pending] = []
-        for pending in batch:
-            request = pending.request
-            assert isinstance(request, RecommendRequest)
-            try:
-                result = self.oracle.policy_recommend(request)
-            except ReproError as exc:
-                self._fail(pending, exc)
-                continue
-            if result is None:
-                rest.append(pending)
-                continue
-            self.metrics.increment(f"cache_{result.cache_tier}_total")
-            self._finish(pending, result)
-        if not rest:
-            return
-        head = rest[0].request
-        assert isinstance(head, RecommendRequest)
-        try:
-            table, tier = self.oracle.table_for(head.link)
-        except ReproError as exc:
-            for pending in rest:
-                self._fail(pending, exc)
-            return
-        self.metrics.increment(f"cache_{tier}_total")
-        for pending in rest:
-            request = pending.request
-            assert isinstance(request, RecommendRequest)
-            try:
-                evaluation = self.oracle.recommend_from_table(table, request)
-            except ReproError as exc:
-                self._fail(pending, exc)
-                continue
-            self._finish(
-                pending, RecommendResult(evaluation=evaluation, cache_tier=tier)
-            )
+        answers = self.oracle.recommend_batch([p.request for p in batch])
+        # Count before waking any caller: one per policy answer, one for
+        # the shared table fetch when it was made and succeeded.
+        tiers = [
+            tier
+            for outcome, tier in answers
+            if tier == TIER_POLICY and not isinstance(outcome, ReproError)
+        ]
+        tiers.extend({tier for _, tier in answers} - {TIER_POLICY, None})
+        for tier in tiers:
+            self.metrics.increment(f"cache_{tier}_total")
+        for pending, (outcome, tier) in zip(batch, answers):
+            if isinstance(outcome, ReproError):
+                self._fail(pending, outcome)
+            else:
+                self._finish(
+                    pending, RecommendResult(evaluation=outcome, cache_tier=tier)
+                )
 
     def _run_fleet(self, pending: _Pending) -> None:
         """Answer one fleet batch (never coalesced: a batch is the batch).

@@ -23,9 +23,8 @@ TINY_GRID = TuningGrid(
 )
 
 
-@pytest.fixture
-def server():
-    service = OracleService(Oracle(grid=TINY_GRID), workers=2)
+def serving(policy=False):
+    service = OracleService(Oracle(grid=TINY_GRID, policy=policy), workers=2)
     http_server = make_server(service, host="127.0.0.1", port=0)
     thread = threading.Thread(target=http_server.serve_forever, daemon=True)
     thread.start()
@@ -34,6 +33,17 @@ def server():
     http_server.server_close()
     service.close()
     thread.join(timeout=5.0)
+
+
+@pytest.fixture
+def server():
+    yield from serving()
+
+
+@pytest.fixture(params=[True, False], ids=["policy", "no-policy"])
+def either_server(request):
+    """A server with the policy tier on (the serve default) or off."""
+    yield from serving(policy=request.param)
 
 
 def get(server, path):
@@ -270,6 +280,26 @@ class TestStructuredErrors:
         assert (
             after["counters"].get("requests_rejected_protocol", 0)
             == rejected_before
+        )
+
+
+class TestReferenceLevel:
+    @pytest.mark.parametrize("level", [99, 30, 0, -31, 2**70])
+    def test_non_pa_reference_level_is_a_counted_400(self, either_server, level):
+        metrics = either_server.client.service.metrics
+        rejected_before = metrics.counter("requests_rejected_protocol")
+        link = {"snr_db": 6.0, "reference_level": level}
+        for path, payload in (
+            ("/v1/recommend", {"link": link}),
+            ("/v1/fleet/recommend", {"links": [link]}),
+        ):
+            status, body = post(either_server, path, payload)
+            assert status == 400
+            assert body["error"]["code"] == "protocol_error"
+            assert body["error"]["field"] == "reference_level"
+        assert (
+            metrics.counter("requests_rejected_protocol")
+            == rejected_before + 2
         )
 
 

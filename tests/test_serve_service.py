@@ -5,8 +5,13 @@ import time
 
 import pytest
 
-from repro.core.optimization import TuningGrid
-from repro.errors import OverloadError, ServeError, ServiceTimeoutError
+from repro.core.optimization import Constraint, TuningGrid
+from repro.errors import (
+    InfeasibleError,
+    OverloadError,
+    ServeError,
+    ServiceTimeoutError,
+)
 from repro.serve import (
     Client,
     LinkSpec,
@@ -233,6 +238,65 @@ class TestMicroBatching:
                 assert result.evaluation == reference.uncached_recommend(
                     pending.request
                 )
+        finally:
+            oracle.release.set()
+            service.close()
+
+
+class PolicyRefusingOracle(BlockingOracle):
+    """A blocking policy oracle whose policy tier refuses delay requests."""
+
+    def policy_recommend(self, request):
+        if request.objective == "delay":
+            raise InfeasibleError("no delay policy")
+        return super().policy_recommend(request)
+
+
+class TestMixedBatch:
+    """Policy answers, a refused policy lookup and table answers in one
+    batch: one table fetch, and each counter counts what it names."""
+
+    def test_counters_and_answers_of_a_mixed_batch(self):
+        oracle = PolicyRefusingOracle(policy=True)
+        service = OracleService(oracle, workers=1, max_batch=8)
+        bounded = (Constraint(objective="rho", upper_bound=1.0),)
+        link = LinkSpec(distance_m=20.0)
+        requests = [
+            RecommendRequest(link=link, objective="energy"),
+            RecommendRequest(link=link, objective="energy", constraints=bounded),
+            RecommendRequest(link=link, objective="goodput"),
+            RecommendRequest(link=link, objective="delay"),
+            RecommendRequest(link=link, objective="goodput", constraints=bounded),
+        ]
+        metrics = service.metrics
+        try:
+            blocker = service.submit(
+                RecommendRequest(link=LinkSpec(distance_m=99.0), constraints=bounded)
+            )
+            assert oracle.entered.wait(timeout=5.0)
+            batched = [service.submit(request) for request in requests]
+            oracle.release.set()
+            for pending in [blocker] + batched:
+                assert pending.wait(timeout_s=10.0)
+            assert oracle.fetches == 2  # the blocker's and the batch's one
+            assert metrics.counter("batches_total") == 2
+            assert metrics.counter("coalesced_requests_total") == 4
+            assert metrics.counter("cache_policy_total") == 2
+            assert metrics.counter("cache_miss_total") == 2
+            assert metrics.counter("requests_failed_total") == 1
+            with pytest.raises(InfeasibleError, match="no delay policy"):
+                batched[3].outcome()
+            answered = [batched[index].outcome() for index in (0, 1, 2, 4)]
+            assert [result.cache_tier for result in answered] == [
+                "policy",
+                "miss",
+                "policy",
+                "miss",
+            ]
+            reference = Oracle(grid=TINY_GRID, policy=True)
+            for index, result in zip((0, 1, 2, 4), answered):
+                unbatched = reference.recommend(requests[index])
+                assert result.evaluation == unbatched.evaluation
         finally:
             oracle.release.set()
             service.close()
