@@ -4,7 +4,7 @@ Not a paper figure: this measures the multi-link engine (`repro.fleet`).
 One `FleetEngine.step` recommends configurations for *every* link of a
 deployment in a single vectorized pass over the shared tuning grid
 (unique quantized SNR bins solved once, links scatter from their bin).
-The naive alternative — one full `SweepTable.build` + epsilon-constraint
+The naive alternative — one full `evaluate_grid_columns` + epsilon-constraint
 solve per link, exactly what a loop over the single-link oracle would do —
 is sampled on a subset and extrapolated.
 

@@ -7,7 +7,7 @@ latency for three regimes:
 
 * **uncached** — every request pays a fresh grid evaluation (the naive
   per-request baseline the cache replaces);
-* **warm cache** — all requests hit a precomputed sweep table;
+* **warm cache** — all requests hit a precomputed grid table;
 * **mixed** — a handful of cold links amid warm traffic (LRU tier).
 
 The warm path must be >= 10x faster per request than the uncached
@@ -106,7 +106,7 @@ def test_warm_cache_throughput(serving, benchmark, report):
     histogram = service.metrics.histogram("request_total_s")
     p50_ms = histogram.percentile(0.5) * 1e3
     p99_ms = histogram.percentile(0.99) * 1e3
-    report.header("Serve throughput: warm cache (precomputed sweep table)")
+    report.header("Serve throughput: warm cache (precomputed grid table)")
     report.emit(
         f"requests    : {histogram.count} completed",
         f"per request : {per_request_s * 1e6:8.1f} us",

@@ -481,7 +481,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if args.precompute:
         print(
-            f"precomputing {len(args.precompute)} sweep table(s) "
+            f"precomputing {len(args.precompute)} grid table(s) "
             f"({len(grid)} configurations each) ...",
             file=sys.stderr,
         )
@@ -959,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "faster cold builds")
     p.add_argument("--precompute", type=_precompute_distances,
                    default="table1", metavar="table1|none|D1,D2,...",
-                   help="tier-1 sweep tables built at startup "
+                   help="tier-1 grid tables built at startup "
                         "(default: the Table I distances)")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request")

@@ -11,7 +11,7 @@ where SNR at P_tx = 31 is stated to be 6 dB).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from ...channel.environment import Environment
@@ -24,6 +24,7 @@ from ..goodput_model import GoodputModel
 from ..plr_model import PlrRadioModel, plr_queue_estimate, plr_total_estimate
 
 __all__ = [
+    "EVALUATION_METRICS",
     "OBJECTIVE_PLANES",
     "RHO_QUEUE_CLIP",
     "check_objectives",
@@ -136,6 +137,28 @@ class ConfigEvaluation:
         """Look up a metric by its :data:`OBJECTIVE_PLANES` name (goodput
         negated, so every objective minimizes)."""
         return objective_from_planes(vars(self), name)
+
+    @classmethod
+    def from_columns(
+        cls, config: StackConfig, columns: Mapping[str, Any], index: int
+    ) -> "ConfigEvaluation":
+        """Row ``index`` of metric columns keyed by field name.
+
+        ``columns`` holds one array per :data:`EVALUATION_METRICS` name: a
+        ``GridEvaluation``'s ``vars()``, or a policy table's winner
+        metrics.
+        """
+        return cls(
+            config=config,
+            **{name: float(columns[name][index]) for name in EVALUATION_METRICS},
+        )
+
+
+#: The metric fields of :class:`ConfigEvaluation` (every field but
+#: ``config``), in declaration order.
+EVALUATION_METRICS: Tuple[str, ...] = tuple(
+    spec.name for spec in fields(ConfigEvaluation) if spec.name != "config"
+)
 
 
 @dataclass(frozen=True)

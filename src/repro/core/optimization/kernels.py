@@ -176,16 +176,8 @@ class GridEvaluation:
 
     def row(self, index: int) -> ConfigEvaluation:
         """Materialize one configuration row as a :class:`ConfigEvaluation`."""
-        return ConfigEvaluation(
-            config=self.config_at(index),
-            snr_db=float(self.snr_db[index]),
-            max_goodput_kbps=float(self.max_goodput_kbps[index]),
-            u_eng_uj_per_bit=float(self.u_eng_uj_per_bit[index]),
-            delay_ms=float(self.delay_ms[index]),
-            rho=float(self.rho[index]),
-            plr_radio=float(self.plr_radio[index]),
-            plr_queue=float(self.plr_queue[index]),
-            plr_total=float(self.plr_total[index]),
+        return ConfigEvaluation.from_columns(
+            self.config_at(index), vars(self), index
         )
 
     def rows(self) -> List[ConfigEvaluation]:
@@ -246,26 +238,23 @@ class GridEvaluation:
         }
 
 
-def _level_lookups(
-    snr_by_level: Mapping[int, float], levels: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-config (SNR, E_tx) columns from the evaluator's level map."""
-    unique_levels = [int(level) for level in np.unique(levels).tolist()]
-    unknown = [
-        level for level in unique_levels if level not in snr_by_level
-    ]
-    if unknown:
-        raise OptimizationError(f"no SNR known for P_tx level {unknown[0]}")
-    size = max(unique_levels) + 1
-    snr_lut = np.zeros(size, dtype=float)
-    e_tx_lut = np.zeros(size, dtype=float)
-    snr_lut[unique_levels] = [
-        float(snr_by_level[level]) for level in unique_levels
-    ]
-    e_tx_lut[unique_levels] = [
-        cc2420.tx_energy_per_bit_j(level) for level in unique_levels
-    ]
-    return snr_lut[levels], e_tx_lut[levels]
+def _level_values(
+    levels: np.ndarray, table: Mapping[int, float], unknown: str
+) -> np.ndarray:
+    """``table[level]`` for every element of an integer PA-level array.
+
+    A sorted-key search, not ``np.unique``: the tables hold a handful of
+    levels while a grid holds thousands of configurations. A level
+    missing from ``table`` raises :class:`OptimizationError` with
+    ``unknown`` formatted with the smallest such level.
+    """
+    keys = np.array(sorted(table), dtype=np.int64)
+    values = np.array([float(table[key]) for key in keys.tolist()])
+    slots = np.minimum(np.searchsorted(keys, levels), keys.size - 1)
+    known = keys[slots] == levels
+    if not known.all():
+        raise OptimizationError(unknown.format(int(levels[~known].min())))
+    return values[slots]
 
 
 def _exp_fit_column(
@@ -510,9 +499,11 @@ def evaluate_columns(
 
     Inputs broadcast against each other (scalars are fine for constant
     knobs) into aligned 1-D columns; the result holds one value per
-    broadcast element. The computation reads the evaluator's actual
-    sub-model coefficients, so re-fitted models vectorize identically to
-    their scalar counterparts.
+    broadcast element. This is the level-map front of
+    :func:`evaluate_metric_planes`: each configuration's SNR is looked up
+    from the evaluator's ``snr_by_level`` map, then the planes kernel does
+    the rest, so re-fitted models vectorize identically to their scalar
+    counterparts.
     """
     columns = np.broadcast_arrays(
         np.atleast_1d(np.asarray(ptx_level, dtype=np.int64)),
@@ -522,29 +513,22 @@ def evaluate_columns(
         np.atleast_1d(np.asarray(q_max, dtype=np.int64)),
         np.atleast_1d(np.asarray(t_pkt_ms, dtype=float)),
     )
-    ptx, payload_i, tries_i, retry_ms, qmax_i, tpkt_ms = (
-        np.ascontiguousarray(column).reshape(-1) for column in columns
+    knobs = dict(
+        zip(
+            KNOB_COLUMNS,
+            (np.ascontiguousarray(column).reshape(-1) for column in columns),
+        )
     )
-    _validate_knobs(payload_i, tries_i, retry_ms, qmax_i, tpkt_ms)
-
-    payload = payload_i.astype(float)
-    tries = tries_i.astype(float)
-    qmax = qmax_i.astype(float)
-    snr, e_tx = _level_lookups(evaluator.snr_by_level, ptx)
-    metrics = _metric_table(
-        evaluator, payload, tries, retry_ms, qmax, tpkt_ms, snr, e_tx
+    metrics = evaluate_metric_planes(
+        evaluator,
+        snr_db=_level_values(
+            knobs["ptx_level"],
+            evaluator.snr_by_level,
+            "no SNR known for P_tx level {}",
+        ),
+        **knobs,
     )
-
-    return GridEvaluation(
-        distance_m=float(distance_m),
-        ptx_level=ptx,
-        payload_bytes=payload_i,
-        n_max_tries=tries_i,
-        d_retry_ms=retry_ms,
-        q_max=qmax_i,
-        t_pkt_ms=tpkt_ms,
-        **metrics,
-    )
+    return GridEvaluation(distance_m=float(distance_m), **knobs, **metrics)
 
 
 def evaluate_metric_planes(
@@ -560,15 +544,14 @@ def evaluate_metric_planes(
 ) -> Dict[str, np.ndarray]:
     """Table III metric arrays for knob columns × explicit SNR values.
 
-    The multi-link entry point into the kernels: unlike
-    :func:`evaluate_columns`, the SNR is *given* per element rather than
-    looked up from the evaluator's level map, and every input may carry
-    any mutually broadcastable shape. The fleet engine passes 1-D knob
-    columns of length C and an ``(L, C)`` SNR plane to evaluate a whole
-    deployment in one broadcast pass; each output array then has shape
-    ``(L, C)``. Arithmetic is byte-for-byte the columnar grid kernel's
-    (:func:`_metric_table`), so a single row of a plane equals the
-    matching :class:`GridEvaluation` columns exactly.
+    The one entry point into the metric math (:func:`_metric_table`):
+    :func:`evaluate_columns` is its level-map front. Here the SNR is
+    *given* per element, and every input may carry any mutually
+    broadcastable shape. The fleet engine passes 1-D knob columns of
+    length C and an ``(L, C)`` SNR plane to evaluate a whole deployment
+    in one broadcast pass; each output array then has shape ``(L, C)``,
+    and a single row of a plane equals the matching
+    :class:`GridEvaluation` columns exactly.
     """
     ptx = np.asarray(ptx_level, dtype=np.int64)
     payload_i = np.asarray(payload_bytes, dtype=np.int64)
@@ -593,18 +576,11 @@ def evaluate_metric_planes(
         raise OptimizationError(
             f"metric-plane inputs do not broadcast: {exc}"
         ) from exc
-    unique_levels = [int(level) for level in np.unique(ptx).tolist()]
-    unknown = [
-        level for level in unique_levels if level not in cc2420.PA_TABLE
-    ]
-    if unknown:
-        raise OptimizationError(
-            f"unknown CC2420 PA_LEVEL {unknown[0]} in ptx_level column"
-        )
-    e_tx_lut = np.zeros(max(unique_levels) + 1, dtype=float)
-    e_tx_lut[unique_levels] = [
-        cc2420.tx_energy_per_bit_j(level) for level in unique_levels
-    ]
+    e_tx = _level_values(
+        ptx,
+        {level: cc2420.tx_energy_per_bit_j(level) for level in cc2420.PA_TABLE},
+        "unknown CC2420 PA_LEVEL {} in ptx_level column",
+    )
     return _metric_table(
         evaluator,
         payload_i.astype(float),
@@ -613,7 +589,7 @@ def evaluate_metric_planes(
         qmax_i.astype(float),
         tpkt_ms,
         snr,
-        e_tx_lut[ptx],
+        e_tx,
     )
 
 
@@ -625,8 +601,8 @@ def grid_knob_columns(grid=None):
     cartesian-product order that ``grid.configs(distance_m)`` and
     :func:`evaluate_grid_columns` enumerate (power varying slowest), so a
     configuration *index* is interchangeable between the grid, a
-    :class:`GridEvaluation`, a :class:`~repro.serve.oracle.SweepTable`,
-    and the fleet engine's metric planes.
+    :class:`GridEvaluation` (the oracle caches these per link), and the
+    fleet engine's metric planes.
     """
     if grid is None:
         # Imported lazily: grid.py wraps this module for its scalar shim.

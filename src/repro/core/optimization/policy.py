@@ -54,6 +54,7 @@ from .epsilon_constraint import (
     masked_argmin_rows,
 )
 from .evaluate import (
+    EVALUATION_METRICS,
     ConfigEvaluation,
     ModelEvaluator,
     check_objectives,
@@ -83,20 +84,6 @@ DEFAULT_SNR_QUANTUM_DB = 0.25
 #: paper's measured range with generous margin; lookups outside fall
 #: back to an exact solve.
 DEFAULT_SNR_RANGE_DB: Tuple[float, float] = (-10.0, 40.0)
-
-#: Winner-metric columns stored per bin — exactly the fields a
-#: :class:`ConfigEvaluation` carries, so a lookup materializes the same
-#: scalar row a :meth:`GridEvaluation.row` call would have.
-_RESULT_COLUMNS = (
-    "snr_db",
-    "max_goodput_kbps",
-    "u_eng_uj_per_bit",
-    "delay_ms",
-    "rho",
-    "plr_radio",
-    "plr_queue",
-    "plr_total",
-)
 
 
 def _snr_bins(snr_db, quantum_db: float) -> np.ndarray:
@@ -141,7 +128,7 @@ class RowAnswers(NamedTuple):
     """The epsilon-constraint answer of each SNR row, column-wise.
 
     ``best_index`` / ``best_objective`` / ``feasible`` per row, the
-    winner's full metric row (:data:`_RESULT_COLUMNS`), and for each
+    winner's full metric row (:data:`EVALUATION_METRICS`), and for each
     constrained objective its per-row minimum — what the solver's
     infeasibility diagnosis reports.
     """
@@ -182,7 +169,9 @@ def solve_rows(
         best_index=np.empty(n_rows, dtype=np.int64),
         best_objective=np.empty(n_rows, dtype=float),
         feasible=np.empty(n_rows, dtype=bool),
-        winner_metrics={name: np.empty(n_rows) for name in _RESULT_COLUMNS},
+        winner_metrics={
+            name: np.empty(n_rows) for name in EVALUATION_METRICS
+        },
         constraint_best={name: np.empty(n_rows) for name in constrained},
     )
     rows_per_block = max(1, int(block_elements) // int(ptx.shape[0]))
@@ -256,9 +245,9 @@ class PolicyTable:
                     f"{n_bins}, got shape {column.shape}"
                 )
             column.flags.writeable = False
-        if set(self.winner_metrics) != set(_RESULT_COLUMNS):
+        if set(self.winner_metrics) != set(EVALUATION_METRICS):
             raise OptimizationError(
-                f"winner metrics must be exactly {sorted(_RESULT_COLUMNS)}, "
+                f"winner metrics must be exactly {sorted(EVALUATION_METRICS)}, "
                 f"got {sorted(self.winner_metrics)}"
             )
         for mapping in (self.winner_metrics, self.constraint_best):
@@ -455,17 +444,10 @@ class PolicyTable:
         index = self.bin_index(snr_db)
         if not self.feasible[index]:
             raise self.infeasible_error_at(index)
-        metrics = self.winner_metrics
-        return ConfigEvaluation(
-            config=self.config_at(int(self.best_index[index]), distance_m),
-            snr_db=float(metrics["snr_db"][index]),
-            max_goodput_kbps=float(metrics["max_goodput_kbps"][index]),
-            u_eng_uj_per_bit=float(metrics["u_eng_uj_per_bit"][index]),
-            delay_ms=float(metrics["delay_ms"][index]),
-            rho=float(metrics["rho"][index]),
-            plr_radio=float(metrics["plr_radio"][index]),
-            plr_queue=float(metrics["plr_queue"][index]),
-            plr_total=float(metrics["plr_total"][index]),
+        return ConfigEvaluation.from_columns(
+            self.config_at(int(self.best_index[index]), distance_m),
+            self.winner_metrics,
+            index,
         )
 
     # ------------------------------------------------------------- stats

@@ -26,8 +26,7 @@ import numpy as np
 
 from ..channel.environment import Environment, HALLWAY_2012
 from ..errors import FleetError
-from ..radio import cc2420
-from ..serve.protocol import LinkSpec
+from ..serve.protocol import LinkSpec, link_base_snr_db
 from ..sim.rng import RngStreams
 
 __all__ = [
@@ -223,12 +222,9 @@ def _edge_links(
         return tuple(
             LinkSpec(distance_m=length) for length in lengths_m.tolist()
         )
-    reference_dbm = cc2420.output_power_dbm(31)
-    noise_dbm = environment.noise.mean_dbm
     return tuple(
         LinkSpec(
-            snr_db=environment.pathloss.mean_rssi_dbm(reference_dbm, length)
-            - noise_dbm
+            snr_db=link_base_snr_db(LinkSpec(distance_m=length), environment)
         )
         for length in lengths_m.tolist()
     )

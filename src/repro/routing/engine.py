@@ -98,12 +98,16 @@ class RoutedFleetEngine:
         self.max_load_iterations = int(max_load_iterations)
         self.load_damping = float(load_damping)
         self.load_tol_pps = float(load_tol_pps)
+        #: The per-link PLR constraint derived from ``path_loss_eps``.
+        self.per_hop_loss_bound: Optional[float] = None
         routed_constraints = tuple(constraints)
         if self.path_loss_eps is not None:
-            budget = per_hop_loss_budget(
+            self.per_hop_loss_bound = per_hop_loss_budget(
                 self.path_loss_eps, max(1, table.max_hops)
             )
-            routed_constraints += (Constraint("loss", budget),)
+            routed_constraints += (
+                Constraint("loss", self.per_hop_loss_bound),
+            )
         self.engine = FleetEngine(
             evaluator=evaluator,
             grid=grid,
@@ -118,15 +122,6 @@ class RoutedFleetEngine:
 
     def __len__(self) -> int:
         return len(self.engine)
-
-    @property
-    def per_hop_loss_bound(self) -> Optional[float]:
-        """The per-link PLR constraint derived from ``path_loss_eps``."""
-        if self.path_loss_eps is None:
-            return None
-        return per_hop_loss_budget(
-            self.path_loss_eps, max(1, self.table.max_hops)
-        )
 
     def routing_info(self) -> Dict[str, object]:
         """Route construction summary (stamped into checkpoint headers)."""
@@ -219,12 +214,11 @@ class RoutedFleetEngine:
         of every active uplink's per-bit energy.
         """
         table = self.table
-        if len(state) != int(table.parent_edge.max(initial=-1)) + 1 and len(
-            state
-        ) < int(table.parent_edge.max(initial=-1)) + 1:
+        highest_edge = int(table.parent_edge.max(initial=-1))
+        if len(state) <= highest_edge:
             raise RoutingError(
                 f"state has {len(state)} links but the routing table "
-                f"references edge {int(table.parent_edge.max(initial=-1))}"
+                f"references edge {highest_edge}"
             )
         report = self.engine.step(state, step_index=step_index)
         metrics, safe_index = self._edge_metrics(state, report.config_index)

@@ -12,8 +12,8 @@ batched, and backpressured. Layering, top to bottom::
     service   bounded queue, micro-batching, worker pool, deadlines —
               repro.serve.service
     oracle    one answer path over four cache tiers (policy,
-              precomputed, lru, miss) + vectorized solves —
-              repro.serve.oracle / repro.serve.cache
+              precomputed, lru, miss) of evaluated grids + vectorized
+              solves — repro.serve.oracle / repro.serve.cache
     models    repro.core.optimization (unchanged)
 
 Start one with ``wsnlink serve --port 8080`` or in-process::
@@ -42,7 +42,6 @@ from .oracle import (
     FleetRoutingSummary,
     Oracle,
     RecommendResult,
-    SweepTable,
     TIER_LRU,
     TIER_MISS,
     TIER_POLICY,
@@ -92,7 +91,6 @@ __all__ = [
     "RecommendResult",
     "RoutingSpec",
     "ServiceMetrics",
-    "SweepTable",
     "TIER_LRU",
     "TelemetryRequest",
     "TIER_MISS",

@@ -1,12 +1,12 @@
 """Thread-safe LRU cache with hit/miss accounting.
 
 The oracle's ``lru`` cache tier: the policy tier answers default-bounds
-recommends without a table, precomputed sweep tables cover the
-discretized Table-I links, and every other table (arbitrary distances,
-reference-SNR links) lands here. Entries are whole
-:class:`~repro.serve.oracle.SweepTable` objects — the expensive artefact
-is the table, not any single answer derived from it — so one cached link
-serves every objective/constraint combination asked about it.
+recommends without a table, precomputed tables cover the discretized
+Table-I links, and every other table (arbitrary distances, reference-SNR
+links) lands here. Entries are whole evaluated grids
+(:class:`~repro.core.optimization.GridEvaluation`) — the expensive
+artefact is the table, not any single answer derived from it — so one
+cached link serves every objective/constraint combination asked about it.
 """
 
 from __future__ import annotations

@@ -1,20 +1,21 @@
 """The oracle: cached, vectorized answers to link-configuration queries.
 
-A :class:`SweepTable` is one link's entire evaluated tuning grid — a
-columnar :class:`~repro.core.optimization.GridEvaluation` produced by the
-vectorized kernels, so both the build (one broadcast pass over all
-configurations) and the epsilon-constraint solve of a query (a masked
-argmin) are numpy operations rather than Python scans. An :class:`Oracle`
-answers ``recommend`` and ``evaluate`` requests; each recommend answer
-names one of four cache tiers:
+A link's table is its entire evaluated tuning grid — the columnar
+:class:`~repro.core.optimization.GridEvaluation` that
+:func:`~repro.core.optimization.evaluate_grid_columns` returns, cached as
+is — so both the build (one broadcast pass over all configurations) and
+the epsilon-constraint solve of a query (a masked argmin) are numpy
+operations rather than Python scans. An :class:`Oracle` answers
+``recommend`` and ``evaluate`` requests; each recommend answer names one
+of four cache tiers:
 
 * ``policy`` (opt-in) — precompiled
   :class:`~repro.core.optimization.PolicyTable` answers covering the
   whole SNR axis: a default-bounds recommend becomes an O(1) bin lookup
   that never touches the solver, independent of grid size;
-* ``precomputed`` — sweep tables for the discretized Table-I distances,
+* ``precomputed`` — tables for the discretized Table-I distances,
   built once at startup (``precompute``) and never evicted;
-* ``lru`` — sweep tables for off-grid links (arbitrary distances,
+* ``lru`` — tables for off-grid links (arbitrary distances,
   reference-SNR links), built on first use and bounded by
   ``lru_capacity``;
 * ``miss`` — a table built for this answer, then kept in the LRU.
@@ -43,8 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -56,7 +56,6 @@ from ..core.optimization import (
     DEFAULT_SNR_QUANTUM_DB,
     DEFAULT_SNR_RANGE_DB,
     ConfigEvaluation,
-    Constraint,
     GridEvaluation,
     ModelEvaluator,
     PolicyTable,
@@ -81,7 +80,6 @@ __all__ = [
     "TIER_PRECOMPUTED",
     "TIER_LRU",
     "TIER_MISS",
-    "SweepTable",
     "RecommendResult",
     "FleetRecommendResult",
     "FleetRoutingSummary",
@@ -97,65 +95,6 @@ TIER_MISS = "miss"
 #: One :meth:`Oracle.recommend_batch` answer: the evaluation or the
 #: error, and its tier (None when the shared table fetch failed).
 Answer = Tuple[Union[ConfigEvaluation, ReproError], Optional[str]]
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    """One link's fully evaluated tuning grid, stored column-wise.
-
-    Wraps the kernels' :class:`GridEvaluation`; scalar
-    :class:`ConfigEvaluation` rows are materialized lazily (and cached) the
-    first time :attr:`evaluations` is read, so the serving hot path never
-    pays per-row object construction.
-    """
-
-    grid_eval: GridEvaluation
-    build_ms: float = field(default=float("nan"), compare=False)
-
-    def __len__(self) -> int:
-        return len(self.grid_eval)
-
-    @classmethod
-    def build(
-        cls,
-        evaluator: ModelEvaluator,
-        grid: TuningGrid,
-        distance_m: float,
-    ) -> "SweepTable":
-        """Evaluate the whole grid for one link in one columnar pass."""
-        started = time.monotonic()
-        grid_eval = evaluate_grid_columns(evaluator, grid, distance_m)
-        elapsed_ms = (time.monotonic() - started) * 1e3
-        return cls(grid_eval=grid_eval, build_ms=elapsed_ms)
-
-    @cached_property
-    def evaluations(self) -> Tuple[ConfigEvaluation, ...]:
-        """Scalar rows in grid order (materialized on first access)."""
-        return tuple(self.grid_eval.rows())
-
-    def column(self, objective: str) -> np.ndarray:
-        """The minimization-form values of one objective across the grid."""
-        return self.grid_eval.objective_column(objective)
-
-    def solve(
-        self, objective: str, constraints: Sequence[Constraint] = ()
-    ) -> ConfigEvaluation:
-        """Vectorized epsilon-constraint solve over the cached grid.
-
-        Delegates to the columnar branch of
-        :func:`~repro.core.optimization.solve_epsilon_constraint`, so the
-        answer (including first-minimal-feasible tie-breaking and
-        infeasibility diagnostics) is identical to solving the materialized
-        :attr:`evaluations` row list.
-        """
-        return solve_epsilon_constraint(self.grid_eval, objective, constraints)
-
-    def stats(self) -> Dict[str, object]:
-        """Size and build-cost summary, JSON-ready."""
-        return {
-            "configurations": len(self),
-            "build_ms": self.build_ms,
-        }
 
 
 @dataclass(frozen=True)
@@ -216,7 +155,7 @@ class FleetRecommendResult:
     evaluations: Tuple[Optional[ConfigEvaluation], ...]
     errors: Tuple[Optional[str], ...]
     cache_tiers: Tuple[str, ...]
-    #: Distinct cache keys in the batch = sweep tables fetched (and, for
+    #: Distinct cache keys in the batch = grid tables fetched (and, for
     #: shared objectives, vectorized solves run) to answer it.
     n_unique_links: int = 0
     #: Path composition over the request's routing block, when present.
@@ -253,7 +192,6 @@ class Oracle:
         lru_capacity: int = 64,
         policy: bool = False,
         snr_quantum_db: float = DEFAULT_SNR_QUANTUM_DB,
-        policy_snr_range_db: Tuple[float, float] = DEFAULT_SNR_RANGE_DB,
     ) -> None:
         self.environment = environment
         # Not `grid or TuningGrid()`: an empty grid is falsy and would be
@@ -261,11 +199,7 @@ class Oracle:
         self.grid = grid if grid is not None else TuningGrid()
         self.policy = bool(policy)
         self.snr_quantum_db = float(snr_quantum_db)
-        self.policy_snr_range_db = (
-            float(policy_snr_range_db[0]),
-            float(policy_snr_range_db[1]),
-        )
-        self._precomputed: Dict[Tuple[object, ...], SweepTable] = {}
+        self._precomputed: Dict[Tuple[object, ...], GridEvaluation] = {}
         self._lru = LruCache(lru_capacity)
         self._lock = threading.Lock()
         self._precomputed_hits = 0
@@ -313,14 +247,16 @@ class Oracle:
             self._precomputed[key] = table
         return 1
 
-    def _build_table(self, link: LinkSpec) -> SweepTable:
+    def _build_table(self, link: LinkSpec) -> GridEvaluation:
+        """Evaluate the whole grid for one link in one columnar pass."""
         evaluator = ModelEvaluator(snr_by_level=link.snr_map(self.environment))
         with self._lock:
             self._builds += 1
-        table = SweepTable.build(
+        started = time.monotonic()
+        table = evaluate_grid_columns(
             evaluator, self.grid, link.grid_distance_m()
         )
-        self.grid_eval_ms.observe(table.build_ms)
+        self.grid_eval_ms.observe((time.monotonic() - started) * 1e3)
         return table
 
     def _bin_link(self, link: LinkSpec) -> Optional[LinkSpec]:
@@ -336,8 +272,8 @@ class Oracle:
             snr_db=float(quantize_snr_db(snr_db, self.snr_quantum_db))
         )
 
-    def table_for(self, link: LinkSpec) -> Tuple[SweepTable, str]:
-        """The link's sweep table and the cache tier that supplied it.
+    def table_for(self, link: LinkSpec) -> Tuple[GridEvaluation, str]:
+        """The link's evaluated grid and the cache tier that supplied it.
 
         A miss builds the table (outside the lock) and installs it in the
         LRU tier; the caller is told ``"miss"`` so per-request accounting
@@ -355,7 +291,7 @@ class Oracle:
                 self._bin_hits += 1
         return table, tier
 
-    def _table_for(self, link: LinkSpec) -> Tuple[SweepTable, str]:
+    def _table_for(self, link: LinkSpec) -> Tuple[GridEvaluation, str]:
         key = link.key()
         with self._lock:
             table = self._precomputed.get(key)
@@ -382,7 +318,6 @@ class Oracle:
                     grid=self.grid,
                     objective=objective,
                     snr_quantum_db=self.snr_quantum_db,
-                    snr_range_db=self.policy_snr_range_db,
                 )
                 self.policy_compile_ms.observe(table.compile_ms)
                 self._policies[objective] = table
@@ -428,19 +363,6 @@ class Oracle:
         evaluation = table.lookup(snr_db, request.link.grid_distance_m())
         return RecommendResult(evaluation=evaluation, cache_tier=TIER_POLICY)
 
-    def _solve_table(
-        self,
-        table: SweepTable,
-        objective: str,
-        constraints: Sequence[Constraint],
-    ) -> ConfigEvaluation:
-        """Every solver invocation funnels through here, counted, so
-        ``/metrics`` (and the tests) can prove the warm policy path never
-        reaches ``solve_epsilon_constraint``."""
-        with self._lock:
-            self._solver_solves += 1
-        return table.solve(objective, constraints)
-
     def policy_info(self) -> Dict[str, object]:
         """Policy-tier counters and table stats, JSON-ready."""
         with self._lock:
@@ -455,7 +377,7 @@ class Oracle:
         return {
             "enabled": self.policy,
             "snr_quantum_db": self.snr_quantum_db,
-            "snr_range_db": list(self.policy_snr_range_db),
+            "snr_range_db": list(DEFAULT_SNR_RANGE_DB),
             "n_tables": len(tables),
             "table_bytes": sum(table.nbytes for table in tables.values()),
             "lookups": lookups,
@@ -535,15 +457,22 @@ class Oracle:
         return RecommendResult(evaluation=outcome, cache_tier=tier)
 
     def recommend_from_table(
-        self, table: SweepTable, request: RecommendRequest
+        self, table: GridEvaluation, request: RecommendRequest
     ) -> ConfigEvaluation:
         """Solve one request against an already-fetched table.
 
         Used by :meth:`recommend_batch`: the table is fetched once for a
         batch of same-link requests, then each request's objective and
         constraints are solved here without touching the cache again.
+        Every solver invocation funnels through here, counted, so
+        ``/metrics`` (and the tests) can prove the warm policy path never
+        reaches :func:`~repro.core.optimization.solve_epsilon_constraint`.
         """
-        return self._solve_table(table, request.objective, request.constraints)
+        with self._lock:
+            self._solver_solves += 1
+        return solve_epsilon_constraint(
+            table, request.objective, request.constraints
+        )
 
     def recommend_fleet(
         self, request: FleetRecommendRequest
@@ -686,8 +615,6 @@ class Oracle:
         are identical, and by the throughput benchmark as the uncached
         baseline.
         """
-        return self._solve_table(
-            self._build_table(request.link),
-            request.objective,
-            request.constraints,
+        return self.recommend_from_table(
+            self._build_table(request.link), request
         )

@@ -12,7 +12,7 @@ a worker finishes later.
 Micro-batching: when a worker pops a ``recommend`` request it also pulls
 every other queued ``recommend`` for the *same link* (same cache key), up
 to ``max_batch``, for one :meth:`~repro.serve.oracle.Oracle.recommend_batch`
-call. Members off the policy tier share one sweep-table fetch — one grid
+call. Members off the policy tier share one grid-table fetch — one grid
 evaluation on a cold link — and each is then answered by its own
 vectorized solve. This is what turns a thundering herd of identical cold
 queries into a single model-evaluation pass.

@@ -49,9 +49,18 @@ class TestGridTopology:
 
     def test_snr_link_mode(self):
         topology = grid_topology(8, seed=0, link_mode="snr")
-        for link in topology.links:
+        by_distance = grid_topology(8, seed=0)
+        for link, distance_link, environment in zip(
+            topology.links, by_distance.links, by_distance.environments
+        ):
             assert link.snr_db is not None
             assert link.distance_m is None
+            # The same level-31 conversion as the distance link, bit for bit.
+            assert link.snr_db == link_base_snr_db(distance_link, environment)
+        assert np.array_equal(
+            FleetState.from_topology(topology).base_snr_db,
+            FleetState.from_topology(by_distance).base_snr_db,
+        )
 
     def test_stats_shape(self):
         stats = grid_topology(12, seed=0).stats()

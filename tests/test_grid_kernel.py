@@ -4,8 +4,8 @@ The contract under test: the vectorized kernels agree with the scalar
 ``ModelEvaluator`` reference within 1e-9 relative tolerance on every
 metric, over the full default grid and at the edges of the knob ranges —
 and every consumer wired onto them (grid shim, epsilon-constraint solver,
-sweep tables in ``repro.serve``) returns the same answers it returned
-when it looped over scalar rows.
+the oracle's cached grid tables in ``repro.serve``) returns the same
+answers it returned when it looped over scalar rows.
 """
 
 import numpy as np
@@ -314,37 +314,47 @@ class TestSolverEquivalence:
 class TestServeAnswersUnchanged:
     """The kernel swap must not change what the oracle recommends."""
 
-    def test_sweep_table_winners_match_row_solver(self, hallway_env):
-        from repro.serve import LinkSpec, SweepTable
+    def test_oracle_table_winners_match_row_solver(self, hallway_env):
+        from repro.serve import TIER_MISS, LinkSpec, Oracle, RecommendRequest
 
         link = LinkSpec(distance_m=20.0)
         evaluator = ModelEvaluator(snr_by_level=link.snr_map(hallway_env))
-        table = SweepTable.build(evaluator, EDGE_GRID, 20.0)
+        oracle = Oracle(environment=hallway_env, grid=EDGE_GRID)
+        table, tier = oracle.table_for(link)
+        assert tier == TIER_MISS
         rows = evaluate_grid_scalar(evaluator, EDGE_GRID, 20.0)
         for objective in OBJECTIVES:
             assert_evaluations_close(
-                table.solve(objective),
+                oracle.recommend_from_table(
+                    table, RecommendRequest(link, objective)
+                ),
                 solve_epsilon_constraint(rows, objective),
             )
         constraints = (Constraint(objective="rho", upper_bound=1.0),)
         assert_evaluations_close(
-            table.solve("goodput", constraints),
+            oracle.recommend_from_table(
+                table, RecommendRequest(link, "goodput", constraints)
+            ),
             solve_epsilon_constraint(rows, "goodput", constraints),
         )
 
-    def test_sweep_table_lazy_rows_and_stats(self, hallway_env):
-        from repro.serve import LinkSpec, SweepTable
+    def test_oracle_table_is_the_kernel_grid_evaluation(self, hallway_env):
+        from repro.serve import LinkSpec, Oracle
 
         link = LinkSpec(distance_m=20.0)
         evaluator = ModelEvaluator(snr_by_level=link.snr_map(hallway_env))
-        table = SweepTable.build(evaluator, EDGE_GRID, 20.0)
-        assert isinstance(table.grid_eval, GridEvaluation)
-        assert "evaluations" not in vars(table)  # not materialized yet
-        assert len(table.evaluations) == len(table)
-        assert "evaluations" in vars(table)  # cached after first access
-        stats = table.stats()
-        assert stats["configurations"] == len(EDGE_GRID)
-        assert stats["build_ms"] >= 0.0
+        oracle = Oracle(environment=hallway_env, grid=EDGE_GRID)
+        table, _ = oracle.table_for(link)
+        assert isinstance(table, GridEvaluation)
+        assert len(table) == len(EDGE_GRID)
+        assert len(table.rows()) == len(table)
+        expected = evaluate_grid_columns(evaluator, EDGE_GRID, 20.0)
+        for name, column in vars(expected).items():
+            if name != "distance_m":
+                assert np.array_equal(getattr(table, name), column), name
+        # The build is timed into the oracle's grid_eval_ms histogram.
+        assert oracle.grid_eval_ms.count == 1
+        assert oracle.cache_info()["grid_eval_ms"]["sum_ms"] >= 0.0
 
     def test_grid_eval_histogram_in_oracle_and_metrics(self):
         from repro.serve import (

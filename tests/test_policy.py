@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.optimization import (
+    DEFAULT_SNR_RANGE_DB,
     Constraint,
     ModelEvaluator,
     PolicyTable,
@@ -213,13 +214,14 @@ class TestOraclePolicyTier:
         assert info["solver_solves"] == 1
 
     def test_off_axis_snr_falls_back(self):
-        oracle = Oracle(
-            grid=SMALL_GRID,
-            policy=True,
-            policy_snr_range_db=(0.0, 10.0),
+        oracle = Oracle(grid=SMALL_GRID, policy=True)
+        assert oracle.policy_info()["snr_range_db"] == list(
+            DEFAULT_SNR_RANGE_DB
         )
         result = oracle.recommend(
-            RecommendRequest(link=LinkSpec(snr_db=30.0))
+            RecommendRequest(
+                link=LinkSpec(snr_db=DEFAULT_SNR_RANGE_DB[1] + 5.0)
+            )
         )
         assert result.cache_tier == TIER_MISS
         assert oracle.policy_info()["fallbacks"] == 1

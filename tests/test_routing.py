@@ -344,6 +344,12 @@ class TestRoutedEngine:
         objectives = [c.objective for c in engine.engine.constraints]
         assert "delay" in objectives and "loss" in objectives
 
+    def test_short_state_names_the_missing_edge(self):
+        table = three_level_table()  # six edges: the highest is edge 5
+        engine = self.routed(table)
+        with pytest.raises(RoutingError, match="5 links .* references edge 5"):
+            engine.step(snr_state(np.full(5, 20.0)))
+
     def test_report_carries_path_columns(self):
         table = three_level_table()
         engine = self.routed(table, path_loss_eps=0.5)

@@ -21,7 +21,6 @@ from repro.serve import (
     LruCache,
     Oracle,
     RecommendRequest,
-    SweepTable,
     TIER_LRU,
     TIER_MISS,
     TIER_PRECOMPUTED,
@@ -108,32 +107,35 @@ class TestNonFiniteRequests:
         assert exc_info.value.field == "snr_db"
 
 
-class TestSweepTable:
-    def test_solve_matches_reference_solver(self, hallway_env):
+class TestGridTable:
+    """The oracle caches and solves the kernel's own GridEvaluation."""
+
+    def test_solve_matches_reference_solver(self, oracle):
         link = LinkSpec(distance_m=20.0)
-        evaluator = ModelEvaluator(snr_by_level=link.snr_map(hallway_env))
-        table = SweepTable.build(evaluator, SMALL_GRID, 20.0)
+        table, _ = oracle.table_for(link)
+        rows = table.rows()
         for objective in ("energy", "goodput", "delay", "loss"):
             constraints = (Constraint(objective="rho", upper_bound=1.0),)
-            assert table.solve(objective, constraints) == (
-                solve_epsilon_constraint(
-                    list(table.evaluations), objective, constraints
-                )
+            request = RecommendRequest(link, objective, constraints)
+            assert oracle.recommend_from_table(table, request) == (
+                solve_epsilon_constraint(rows, objective, constraints)
             )
 
-    def test_infeasible_constraints_raise(self, hallway_env):
+    def test_infeasible_constraints_raise(self, oracle):
         link = LinkSpec(distance_m=20.0)
-        evaluator = ModelEvaluator(snr_by_level=link.snr_map(hallway_env))
-        table = SweepTable.build(evaluator, SMALL_GRID, 20.0)
+        table, _ = oracle.table_for(link)
+        request = RecommendRequest(
+            link, "energy", (Constraint("loss", upper_bound=-1.0),)
+        )
         with pytest.raises(InfeasibleError):
-            table.solve("energy", (Constraint("loss", upper_bound=-1.0),))
+            oracle.recommend_from_table(table, request)
 
-    def test_unknown_objective_rejected(self, hallway_env):
-        link = LinkSpec(distance_m=20.0)
-        evaluator = ModelEvaluator(snr_by_level=link.snr_map(hallway_env))
-        table = SweepTable.build(evaluator, SMALL_GRID, 20.0)
+    def test_unknown_objective_rejected(self, oracle):
+        table, _ = oracle.table_for(LinkSpec(distance_m=20.0))
         with pytest.raises(OptimizationError):
-            table.column("throughput")
+            table.objective_column("throughput")
+        with pytest.raises(OptimizationError):
+            solve_epsilon_constraint(table, "throughput")
 
 
 class TestOracleCaching:
