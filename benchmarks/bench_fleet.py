@@ -47,6 +47,7 @@ from repro.core.optimization import (
     ModelEvaluator,
     TuningGrid,
     evaluate_grid_columns,
+    quantize_snr_db,
     snr_map_from_reference,
     solve_epsilon_constraint,
 )
@@ -122,7 +123,7 @@ def test_naive_per_link_baseline(benchmark, report):
     """Time the per-link loop on a sample; extrapolate to fleet scale."""
     engine = make_engine()
     state = fleet_state(max(FLEET_SIZES), seed=0)
-    quantized = engine.quantize_snr_db(state.snr_db)
+    quantized = quantize_snr_db(state.snr_db, engine.snr_quantum_db)
     sample = quantized[:NAIVE_SAMPLE].tolist()
 
     def run_sample():
@@ -286,7 +287,7 @@ def _sampled_equivalence_error(engine: FleetEngine, n_links: int) -> float:
     """Worst batched-vs-naive objective disagreement on sampled links."""
     state = fleet_state(n_links, seed=0)
     engine.step(state)
-    quantized = engine.quantize_snr_db(state.base_snr_db)
+    quantized = quantize_snr_db(state.base_snr_db, engine.snr_quantum_db)
     sample_indices = np.linspace(
         0, n_links - 1, NAIVE_SAMPLE, dtype=np.int64
     )

@@ -277,7 +277,6 @@ class PolicyTable:
         snr_quantum_db: float = DEFAULT_SNR_QUANTUM_DB,
         snr_range_db: Tuple[float, float] = DEFAULT_SNR_RANGE_DB,
         distance_m: float = 10.0,
-        block_elements: int = 1_000_000,
     ) -> "PolicyTable":
         """One vectorized pass over (bins × grid) — the whole axis at once.
 
@@ -296,10 +295,6 @@ class PolicyTable:
             raise OptimizationError(
                 f"snr_range_db must be (low, high) with low <= high, "
                 f"got {snr_range_db!r}"
-            )
-        if block_elements < 1:
-            raise OptimizationError(
-                f"block_elements must be >= 1, got {block_elements!r}"
             )
         started = time.monotonic()
         quantum = float(snr_quantum_db)
@@ -321,7 +316,6 @@ class PolicyTable:
             centers_db,
             objective,
             constraints,
-            block_elements,
         )
         return cls(
             objective=objective,

@@ -132,8 +132,8 @@ class RoutingError(FleetError):
 
     Covers :mod:`repro.routing` — sink selection, tree construction over
     topology edges (including sinks or nodes disconnected from the rest
-    of the deployment), path-metric composition, and the relay-load fixed
-    point. Subclasses :class:`FleetError`: a routing failure is a fleet
+    of the deployment), path-metric composition, and the relay-load
+    sweep. Subclasses :class:`FleetError`: a routing failure is a fleet
     failure, so existing fleet-level handlers keep working.
     """
 

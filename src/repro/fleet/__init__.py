@@ -17,11 +17,7 @@ run_fleet` ties the pieces into a crash-safe checkpointed run.
 
 from ..core.optimization import REFERENCE_LEVEL
 from .drift import FleetDrift
-from .engine import (
-    FleetEngine,
-    FleetStepReport,
-    objective_from_metrics,
-)
+from .engine import FleetEngine, FleetStepReport
 from .runner import (
     FLEET_CHECKPOINT_FORMAT,
     FleetRunResult,
@@ -52,7 +48,6 @@ __all__ = [
     "build_topology",
     "grid_topology",
     "link_base_snr_db",
-    "objective_from_metrics",
     "parse_fleet_row",
     "random_geometric_topology",
     "run_fleet",

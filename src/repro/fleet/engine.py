@@ -38,13 +38,12 @@ finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import StackConfig
 from ..core.optimization import (
-    DEFAULT_SNR_RANGE_DB,
     Constraint,
     ModelEvaluator,
     PolicyTable,
@@ -68,17 +67,7 @@ from .state import FleetState
 __all__ = [
     "FleetEngine",
     "FleetStepReport",
-    "objective_from_metrics",
 ]
-
-
-def objective_from_metrics(
-    metrics: Mapping[str, np.ndarray], name: str
-) -> np.ndarray:
-    """:func:`~repro.core.optimization.objective_from_planes`, raising
-    :class:`~repro.errors.FleetError` for an unknown objective name."""
-    check_objectives(name, error=FleetError)
-    return objective_from_planes(metrics, name)
 
 
 @dataclass(frozen=True)
@@ -147,10 +136,8 @@ class FleetEngine:
         constraints: Sequence[Constraint] = (),
         hysteresis: float = 0.05,
         snr_quantum_db: float = 0.25,
-        block_elements: int = 1_000_000,
         strict: bool = False,
         use_policy: bool = True,
-        policy_snr_range_db: Tuple[float, float] = DEFAULT_SNR_RANGE_DB,
     ) -> None:
         check_objectives(objective, constraints, error=FleetError)
         if hysteresis < 0:
@@ -158,15 +145,6 @@ class FleetEngine:
         if snr_quantum_db < 0:
             raise FleetError(
                 f"snr_quantum_db must be >= 0, got {snr_quantum_db!r}"
-            )
-        if block_elements < 1:
-            raise FleetError(
-                f"block_elements must be >= 1, got {block_elements!r}"
-            )
-        if not policy_snr_range_db[0] <= policy_snr_range_db[1]:
-            raise FleetError(
-                f"policy_snr_range_db must be (low, high) with low <= high, "
-                f"got {policy_snr_range_db!r}"
             )
         self.evaluator = (
             evaluator
@@ -180,15 +158,10 @@ class FleetEngine:
         self.constraints = tuple(constraints)
         self.hysteresis = float(hysteresis)
         self.snr_quantum_db = float(snr_quantum_db)
-        self.block_elements = int(block_elements)
         self.strict = bool(strict)
         #: Policy lookups need a finite bin axis; quantum 0 means "solve
         #: exact SNRs", which cannot be tabulated.
         self.use_policy = bool(use_policy) and self.snr_quantum_db > 0.0
-        self.policy_snr_range_db = (
-            float(policy_snr_range_db[0]),
-            float(policy_snr_range_db[1]),
-        )
         self._policy: Optional[PolicyTable] = None
         self._knobs = grid_knob_columns(self.grid)
         #: Per-configuration SNR offset from the reference level (dB).
@@ -197,30 +170,25 @@ class FleetEngine:
     def __len__(self) -> int:
         return len(self._knobs[0])
 
-    @property
-    def knob_columns(
-        self,
-    ) -> Tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
-    ]:
-        """The grid's canonical knob columns, in kernel argument order.
+    def metric_inputs(
+        self, config_index: np.ndarray, snr_db: np.ndarray
+    ) -> Dict[str, np.ndarray]:
+        """Per-link keyword arguments of ``evaluate_metric_planes``.
 
-        ``(ptx_level, payload_bytes, n_max_tries, d_retry_ms, q_max,
-        t_pkt_ms)`` — the same tuple
-        :func:`~repro.core.optimization.grid_knob_columns` built, exposed
-        so layered engines (routing) can materialize per-link knobs from
-        a report's configuration indices without re-deriving the grid.
+        The grid's knobs gathered at each link's configuration index, and
+        the link's reference-level SNR moved to that configuration's PA
+        level. Shared by hysteresis and the routed engine's edge metrics.
         """
-        return self._knobs
-
-    @property
-    def config_offset_db(self) -> np.ndarray:
-        """Per-configuration SNR offset from the reference level (dB)."""
-        return self._offset_db
-
-    def quantize_snr_db(self, snr_db: np.ndarray) -> np.ndarray:
-        """The SNR column snapped to ``snr_quantum_db`` bins (0 = exact)."""
-        return quantize_snr_db(snr_db, self.snr_quantum_db)
+        ptx, payload, tries, retry_ms, qmax, tpkt_ms = self._knobs
+        return {
+            "ptx_level": ptx[config_index],
+            "payload_bytes": payload[config_index],
+            "n_max_tries": tries[config_index],
+            "d_retry_ms": retry_ms[config_index],
+            "q_max": qmax[config_index],
+            "t_pkt_ms": tpkt_ms[config_index],
+            "snr_db": snr_db + self._offset_db[config_index],
+        }
 
     # -------------------------------------------------------------- step
 
@@ -239,8 +207,6 @@ class FleetEngine:
                 objective=self.objective,
                 constraints=self.constraints,
                 snr_quantum_db=self.snr_quantum_db,
-                snr_range_db=self.policy_snr_range_db,
-                block_elements=self.block_elements,
             )
         return self._policy
 
@@ -253,7 +219,6 @@ class FleetEngine:
             snr_db,
             self.objective,
             self.constraints,
-            self.block_elements,
         )
 
     def _current_objective(
@@ -267,18 +232,10 @@ class FleetEngine:
         caller masks out via ``has_current``.
         """
         safe_index = np.where(has_current, state.config_index, 0)
-        ptx, payload, tries, retry_ms, qmax, tpkt_ms = self._knobs
         metrics = evaluate_metric_planes(
-            self.evaluator,
-            ptx_level=ptx[safe_index],
-            payload_bytes=payload[safe_index],
-            n_max_tries=tries[safe_index],
-            d_retry_ms=retry_ms[safe_index],
-            q_max=qmax[safe_index],
-            t_pkt_ms=tpkt_ms[safe_index],
-            snr_db=snr_db + self._offset_db[safe_index],
+            self.evaluator, **self.metric_inputs(safe_index, snr_db)
         )
-        current_objective = objective_from_metrics(metrics, self.objective)
+        current_objective = objective_from_planes(metrics, self.objective)
         current_feasible = feasible_mask(metrics, self.constraints)
         return current_objective, current_feasible
 
@@ -292,7 +249,7 @@ class FleetEngine:
         answer: it is marked infeasible (a :class:`FleetError` in strict
         mode).
         """
-        quantized_snr_db = self.quantize_snr_db(state.snr_db)
+        quantized_snr_db = quantize_snr_db(state.snr_db, self.snr_quantum_db)
         finite = np.isfinite(quantized_snr_db)
         if not finite.all():
             if self.strict:

@@ -6,10 +6,11 @@ sink-rooted tree over a topology's edges (:class:`RoutingTable`, a
 frozen struct-of-arrays like the topology itself),
 :mod:`~repro.routing.compose` folds per-link Table III metrics into
 per-path ones in one hop-level numpy sweep,
-:mod:`~repro.routing.congestion` iterates relay arrival rates to their
-queueing fixed point, and :mod:`~repro.routing.engine` ties them into
-the routed objective — minimize total network energy subject to a
-loss budget on every leaf→sink path.
+:mod:`~repro.routing.congestion` sweeps relay arrival rates through
+the queueing models from the leaves up, and
+:mod:`~repro.routing.engine` ties them into the routed objective —
+minimize total network energy subject to a loss budget on every
+leaf→sink path.
 """
 
 from .compose import PathMetrics, compose_paths, compose_paths_scalar

@@ -2,22 +2,22 @@
 
 A relay's radio does not care that the paper's models were fitted one
 link at a time: its arrival rate is its *own* sampling rate plus every
-packet its children successfully hand it. That coupling is a fixed
-point — arrival rates determine utilization, utilization determines
-queue blocking, blocking determines how much traffic each child actually
-delivers upward, which determines the arrival rates.
+packet its children successfully hand it. Arrival rates determine
+utilization, utilization determines queue blocking, and blocking
+determines how much of that traffic the relay delivers upward — to its
+parent, never back down. On a routing tree the dependency only flows
+toward the sink, so the loads are a leaf-to-root recurrence.
 
-:func:`iterate_relay_load` solves it by damped iteration, entirely in
-per-node numpy columns. Only the t_pkt-dependent tail of the Table III
-composition is re-evaluated per sweep
+:func:`iterate_relay_load` evaluates it in one sweep over the table's
+hop levels, deepest first, in per-node numpy columns. Only the
+t_pkt-dependent tail of the Table III composition is evaluated per level
 (:func:`~repro.core.optimization.queue_composition_columns` — the same
-code path the grid kernels run, so a node at its fixed-point arrival
-rate carries exactly the metrics a single-link evaluation at that
-packet period would produce); the per-hop service time and radio loss
-are computed once and reused.
+code path the grid kernels run, so a node carries exactly the metrics a
+single-link evaluation at its effective packet period would produce);
+the per-hop service time and radio loss are computed once and reused.
 """
 
-# reprolint: hot-path — relay-load fixed point timed by BENCH_routing.json
+# reprolint: hot-path — relay-load sweep timed by BENCH_routing.json
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -41,7 +41,7 @@ MIN_ARRIVAL_PPS = 1e-12
 
 @dataclass(frozen=True)
 class RelayLoadResult:
-    """Fixed point of the relay-load iteration, per-node columns.
+    """Relay loads of one routing tree, per-node columns.
 
     ``arrival_pps[i]`` is node *i*'s uplink arrival rate (own sampling
     plus delivered child traffic), ``delivered_pps[i]`` what survives its
@@ -55,17 +55,6 @@ class RelayLoadResult:
     delivered_pps: np.ndarray
     t_pkt_eff_ms: np.ndarray
     metrics: Dict[str, np.ndarray]
-    n_iterations: int
-    converged: bool
-    max_residual_pps: float
-
-    def stats(self) -> Dict[str, object]:
-        """Scalar iteration summary, JSON-ready."""
-        return {
-            "n_iterations": self.n_iterations,
-            "converged": self.converged,
-            "max_residual_pps": self.max_residual_pps,
-        }
 
 
 def iterate_relay_load(
@@ -77,37 +66,22 @@ def iterate_relay_load(
     t_pkt_ms: np.ndarray,
     plr_radio: np.ndarray,
     link_up: np.ndarray,
-    max_iterations: int = 64,
-    tol_pps: float = 1e-9,
-    damping: float = 1.0,
 ) -> RelayLoadResult:
-    """Fixed-point solve of the relay arrival rates.
+    """Relay arrival rates, solved leaf to root in one sweep.
 
     All inputs are per-*node* uplink columns (length ``n_nodes``; sink
     and excluded rows ignored): the configured service time, queue bound,
     radio loss, and sampling packet period of each node's uplink, plus a
-    ``link_up`` mask — a down uplink (no feasible configuration) carries
-    its own offered load into the iteration but delivers nothing upward.
+    ``link_up`` mask — a down uplink still queues its own offered load
+    but delivers nothing upward.
 
-    Per sweep: effective packet period = ``1000 / arrival``, queueing
-    metrics re-composed at that period, delivered = ``arrival × (1 −
-    plr_total)``, and each parent's new arrival = own rate + Σ delivered
-    children, blended with ``damping`` (1.0 = undamped Jacobi). Converges
-    when the largest arrival-rate change drops below ``tol_pps``.
-
-    Arrival rates flow strictly rootward — a node's arrival depends only
-    on its descendants' deliveries, never on its own metrics — so the
-    update graph is acyclic and the undamped sweep (the default) cannot
-    oscillate: it is exact after at most tree-height sweeps and usually
-    converges far sooner. ``damping < 1`` remains available for modified
-    dynamics that do feed back.
+    Levels run from the deepest to level 1. When a level is reached its
+    children have all delivered, so each node's arrival rate is final:
+    own rate + Σ delivered children. Its effective packet period is
+    ``1000 / arrival``, its queueing metrics are composed at that
+    period, and ``arrival × (1 − plr_total)`` is added to its parent's
+    inbound traffic.
     """
-    if not 0.0 < damping <= 1.0:
-        raise RoutingError(f"damping must be in (0, 1], got {damping!r}")
-    if max_iterations < 1:
-        raise RoutingError(
-            f"max_iterations must be >= 1, got {max_iterations!r}"
-        )
     n_nodes = table.n_nodes
     service_s = np.asarray(service_delay_s, dtype=float)
     qmax = np.asarray(q_max, dtype=float)
@@ -127,55 +101,44 @@ def iterate_relay_load(
                 f"got shape {column.shape}"
             )
 
+    # Inbound starts as each node's own offered rate (the configured
+    # sampling period); children's deliveries are added level by level.
+    arrival_pps = np.zeros(n_nodes)
     uplinked = table.uplink_nodes
-    active = np.zeros(n_nodes, dtype=bool)
-    active[uplinked] = True
-    parents = table.parent
-
-    # Own offered rate: the configured sampling period, zero elsewhere.
-    own_pps = np.zeros(n_nodes)
-    own_pps[active] = 1e3 / tpkt_ms[active]
-
-    arrival_pps = own_pps.copy()
+    arrival_pps[uplinked] = 1e3 / tpkt_ms[uplinked]
     delivered_pps = np.zeros(n_nodes)
-    queue: Dict[str, np.ndarray] = {}
     t_eff_ms = np.full(n_nodes, np.nan)
-    residual = np.inf
-    iterations = 0
-    converged = False
-    while iterations < max_iterations:
-        iterations += 1
-        rate = np.maximum(arrival_pps, MIN_ARRIVAL_PPS)
-        t_eff_ms = np.where(active, 1e3 / rate, np.nan)
-        queue = queue_composition_columns(
-            service_delay_s=service_s,
-            service_scv=service_scv,
-            q_max=qmax,
-            t_pkt_ms=np.where(active, t_eff_ms, 1.0),
-            plr_radio=radio,
-        )
-        delivered_pps = np.where(
-            active & up, arrival_pps * (1.0 - queue["plr_total"]), 0.0
-        )
-        aggregated = own_pps.copy()
-        np.add.at(aggregated, parents[uplinked], delivered_pps[uplinked])
-        aggregated[~active] = 0.0
-        residual = float(np.abs(aggregated - arrival_pps).max(initial=0.0))
-        arrival_pps = arrival_pps + damping * (aggregated - arrival_pps)
-        if residual <= tol_pps:
-            converged = True
-            break
-
     metrics = {
-        name: np.where(active, column, np.nan)
-        for name, column in queue.items()
+        name: np.full(n_nodes, np.nan)
+        for name in ("rho", "delay_ms", "plr_queue", "plr_total")
     }
+    starts = table.level_starts
+    ordered = table.level_nodes
+    for level in range(starts.shape[0] - 2, 0, -1):
+        nodes = ordered[starts[level] : starts[level + 1]]
+        arrival = arrival_pps[nodes]
+        t_eff = 1e3 / np.maximum(arrival, MIN_ARRIVAL_PPS)
+        queue = queue_composition_columns(
+            service_delay_s=service_s[nodes],
+            service_scv=service_scv,
+            q_max=qmax[nodes],
+            t_pkt_ms=t_eff,
+            plr_radio=radio[nodes],
+        )
+        delivered = np.where(
+            up[nodes], arrival * (1.0 - queue["plr_total"]), 0.0
+        )
+        t_eff_ms[nodes] = t_eff
+        delivered_pps[nodes] = delivered
+        for name, column in metrics.items():
+            column[nodes] = queue[name]
+        np.add.at(arrival_pps, table.parent[nodes], delivered)
+
+    # The sweep added level-1 deliveries into the sink's row.
+    arrival_pps[table.sink] = 0.0
     return RelayLoadResult(
-        arrival_pps=np.where(active, arrival_pps, 0.0),
+        arrival_pps=arrival_pps,
         delivered_pps=delivered_pps,
         t_pkt_eff_ms=t_eff_ms,
         metrics=metrics,
-        n_iterations=iterations,
-        converged=converged,
-        max_residual_pps=residual,
     )

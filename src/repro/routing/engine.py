@@ -13,8 +13,9 @@ optimizers do:
    solve keeps its policy-table O(1) fast path untouched;
 2. the chosen per-link configurations are evaluated once into per-edge
    metric columns (one vectorized plane call for the whole fleet);
-3. relay congestion is iterated to its fixed point
-   (:func:`~repro.routing.congestion.iterate_relay_load`), inflating the
+3. relay congestion is solved in one leaf-to-root sweep
+   (:func:`~repro.routing.congestion.iterate_relay_load`): each relay
+   queues its own traffic plus what its children deliver, inflating the
    queueing delay and blocking loss of loaded relays;
 4. the congestion-adjusted columns are composed into per-path metrics
    (:func:`~repro.routing.compose.compose_paths`) and checked against the
@@ -33,7 +34,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.optimization import Constraint, evaluate_metric_planes
+from ..core.optimization import (
+    Constraint,
+    evaluate_metric_planes,
+    quantize_snr_db,
+)
 from ..errors import RoutingError
 from ..fleet.engine import FleetEngine, FleetStepReport
 from ..fleet.state import FleetState
@@ -85,9 +90,6 @@ class RoutedFleetEngine:
         constraints: Sequence[Constraint] = (),
         path_loss_eps: Optional[float] = None,
         congestion: bool = True,
-        max_load_iterations: int = 64,
-        load_damping: float = 1.0,
-        load_tol_pps: float = 1e-9,
         **engine_kwargs,
     ) -> None:
         self.table = table
@@ -95,9 +97,6 @@ class RoutedFleetEngine:
             float(path_loss_eps) if path_loss_eps is not None else None
         )
         self.congestion = bool(congestion)
-        self.max_load_iterations = int(max_load_iterations)
-        self.load_damping = float(load_damping)
-        self.load_tol_pps = float(load_tol_pps)
         #: The per-link PLR constraint derived from ``path_loss_eps``.
         self.per_hop_loss_bound: Optional[float] = None
         routed_constraints = tuple(constraints)
@@ -117,7 +116,7 @@ class RoutedFleetEngine:
         )
         #: Path metrics of the most recent step (None before the first).
         self.last_paths: Optional[PathMetrics] = None
-        #: Relay-load fixed point of the most recent step.
+        #: Relay loads of the most recent step (None without congestion).
         self.last_load: Optional[RelayLoadResult] = None
 
     def __len__(self) -> int:
@@ -135,33 +134,21 @@ class RoutedFleetEngine:
 
     def _edge_metrics(
         self, state: FleetState, config_index: np.ndarray
-    ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
         """Per-edge Table III metrics at each link's chosen configuration.
 
         One 1-D vectorized plane call for the whole fleet, evaluated at
-        the same quantized SNR the candidate solve used. Links with no
-        feasible configuration are evaluated at row 0 (their metrics are
-        masked by ``link_up`` downstream).
+        the same quantized SNR the candidate solve used; returns the
+        metrics and the gathered plane inputs. Links with no feasible
+        configuration are evaluated at row 0 (their metrics are masked
+        by ``link_up`` downstream).
         """
-        ptx, payload, tries, retry_ms, qmax, tpkt_ms = (
-            self.engine.knob_columns
+        engine = self.engine
+        inputs = engine.metric_inputs(
+            np.where(config_index >= 0, config_index, 0),
+            quantize_snr_db(state.snr_db, engine.snr_quantum_db),
         )
-        safe_index = np.where(config_index >= 0, config_index, 0)
-        snr_db = (
-            self.engine.quantize_snr_db(state.snr_db)
-            + self.engine.config_offset_db[safe_index]
-        )
-        metrics = evaluate_metric_planes(
-            self.engine.evaluator,
-            ptx_level=ptx[safe_index],
-            payload_bytes=payload[safe_index],
-            n_max_tries=tries[safe_index],
-            d_retry_ms=retry_ms[safe_index],
-            q_max=qmax[safe_index],
-            t_pkt_ms=tpkt_ms[safe_index],
-            snr_db=snr_db,
-        )
-        return metrics, safe_index
+        return evaluate_metric_planes(engine.evaluator, **inputs), inputs
 
     def _uplink_column(
         self, edge_column: np.ndarray, fill: float = np.nan
@@ -176,31 +163,22 @@ class RoutedFleetEngine:
     def _relay_load(
         self,
         metrics: Dict[str, np.ndarray],
-        safe_index: np.ndarray,
+        inputs: Dict[str, np.ndarray],
         link_up: np.ndarray,
     ) -> RelayLoadResult:
-        """The congestion fixed point over the tree's uplink columns."""
-        qmax_knob = self.engine.knob_columns[4]
-        tpkt_knob = self.engine.knob_columns[5]
+        """Relay loads over the tree's uplink columns."""
         return iterate_relay_load(
             self.table,
             service_delay_s=self._uplink_column(
                 metrics["t_service_ms"] / 1e3, fill=0.0
             ),
             service_scv=self.engine.evaluator.delay_model.service_scv,
-            q_max=self._uplink_column(
-                qmax_knob[safe_index].astype(float), fill=1.0
-            ),
-            t_pkt_ms=self._uplink_column(
-                tpkt_knob[safe_index], fill=1.0
-            ),
+            q_max=self._uplink_column(inputs["q_max"], fill=1.0),
+            t_pkt_ms=self._uplink_column(inputs["t_pkt_ms"], fill=1.0),
             plr_radio=self._uplink_column(metrics["plr_radio"], fill=0.0),
             link_up=self._uplink_column(
                 link_up.astype(float), fill=0.0
             ).astype(bool),
-            max_iterations=self.max_load_iterations,
-            tol_pps=self.load_tol_pps,
-            damping=self.load_damping,
         )
 
     def step(self, state: FleetState, step_index: int = 0) -> FleetStepReport:
@@ -209,7 +187,8 @@ class RoutedFleetEngine:
         Returns the inner engine's report extended with the path columns:
         ``n_paths`` / ``n_paths_feasible`` count leaf→sink paths against
         ``path_loss_eps`` (a path through an unconfigured link never
-        passes), ``relay_*`` describe the congestion fixed point, and
+        passes), ``relay_iterations`` is 1 when the relay sweep ran and 0
+        when it did not (``relay_converged`` is always True), and
         ``network_energy_uj_per_bit`` is the routed objective — the sum
         of every active uplink's per-bit energy.
         """
@@ -221,14 +200,14 @@ class RoutedFleetEngine:
                 f"references edge {highest_edge}"
             )
         report = self.engine.step(state, step_index=step_index)
-        metrics, safe_index = self._edge_metrics(state, report.config_index)
+        metrics, inputs = self._edge_metrics(state, report.config_index)
         link_up = report.config_index >= 0
 
         load: Optional[RelayLoadResult] = None
         delay_edge = np.asarray(metrics["delay_ms"], dtype=float)
         plr_edge = np.asarray(metrics["plr_total"], dtype=float)
         if self.congestion:
-            load = self._relay_load(metrics, safe_index, link_up)
+            load = self._relay_load(metrics, inputs, link_up)
             # Scatter the congestion-adjusted uplink metrics back onto
             # their edges (each tree uplink edge belongs to one node).
             nodes = table.uplink_nodes
@@ -265,7 +244,6 @@ class RoutedFleetEngine:
             report,
             n_paths=paths.n_paths,
             n_paths_feasible=int(np.count_nonzero(feasible)),
-            relay_iterations=load.n_iterations if load is not None else 0,
-            relay_converged=load.converged if load is not None else True,
+            relay_iterations=int(load is not None),
             network_energy_uj_per_bit=network_energy,
         )

@@ -10,8 +10,11 @@ from repro.core.optimization import (
     ModelEvaluator,
     TuningGrid,
     evaluate_grid_columns,
+    grid_knob_columns,
+    level_offset_lut_db,
     snr_map_from_reference,
     solve_epsilon_constraint,
+    solve_rows,
 )
 from repro.errors import FleetError, InfeasibleError
 from repro.fleet import (
@@ -19,7 +22,6 @@ from repro.fleet import (
     FleetEngine,
     FleetState,
     grid_topology,
-    objective_from_metrics,
 )
 
 TINY_GRID = TuningGrid(
@@ -162,18 +164,32 @@ class TestManyLinkEquivalence:
         assert len(set(state.config_index[50:].tolist())) == 1
 
     def test_blocking_does_not_change_answers(self):
-        # A block smaller than one SNR row still yields identical results.
-        snrs = np.linspace(2.0, 18.0, 30)
-        big = snr_state(snrs)
-        small = snr_state(snrs)
-        FleetEngine(grid=TINY_GRID, snr_quantum_db=0.0).step(big)
-        FleetEngine(
-            grid=TINY_GRID, snr_quantum_db=0.0, block_elements=7
-        ).step(small)
-        assert np.array_equal(big.config_index, small.config_index)
-        assert np.array_equal(
-            big.objective_value, small.objective_value, equal_nan=True
-        )
+        # A block smaller than one SNR row still yields identical answers.
+        knobs = grid_knob_columns(TINY_GRID)
+        snr_db = np.linspace(2.0, 18.0, 30)
+
+        def solve(block_elements):
+            return solve_rows(
+                ModelEvaluator(snr_by_level=snr_map_from_reference(0.0)),
+                knobs,
+                level_offset_lut_db(knobs[0])[knobs[0]],
+                snr_db,
+                "energy",
+                (Constraint("delay", 60.0),),
+                block_elements,
+            )
+
+        whole = solve(snr_db.size * knobs[0].size)
+        blocked = solve(7)
+        for name in ("best_index", "best_objective", "feasible"):
+            np.testing.assert_array_equal(
+                getattr(blocked, name), getattr(whole, name)
+            )
+        for name in ("winner_metrics", "constraint_best"):
+            for key, column in getattr(whole, name).items():
+                np.testing.assert_array_equal(
+                    getattr(blocked, name)[key], column
+                )
 
     def test_quantization_bins_snrs(self):
         state = snr_state([4.0, 4.1, 4.9])
@@ -242,7 +258,6 @@ class TestEngineValidation:
         [
             {"hysteresis": -0.1},
             {"snr_quantum_db": -1.0},
-            {"block_elements": 0},
         ],
     )
     def test_bad_scalars_rejected(self, kwargs):
@@ -255,16 +270,6 @@ class TestEngineValidation:
             engine.config_at(len(engine))
         with pytest.raises(FleetError):
             engine.config_at(-1)
-
-    def test_objective_from_metrics_unknown_name(self):
-        with pytest.raises(FleetError, match="unknown objective"):
-            objective_from_metrics({"rho": np.zeros(1)}, "latency")
-
-    def test_goodput_is_negated_for_minimization(self):
-        metrics = {"max_goodput_kbps": np.array([1.0, 3.0])}
-        assert np.array_equal(
-            objective_from_metrics(metrics, "goodput"), [-1.0, -3.0]
-        )
 
 
 class TestTrajectoryDeterminism:

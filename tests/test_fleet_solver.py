@@ -31,6 +31,9 @@ SMALL_GRID = TuningGrid(
 )
 QUANTUM_DB = 0.5
 AXIS_DB = (0.0, 10.0)
+#: SNRs outside the default policy axis (−10…40 dB): always solved exactly.
+OFF_AXIS_LOW_DB = -15.0
+OFF_AXIS_HIGH_DB = 45.0
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
@@ -40,7 +43,6 @@ def engine(use_policy, objective="energy", constraints=(), strict=False):
         objective=objective,
         constraints=constraints,
         snr_quantum_db=QUANTUM_DB,
-        policy_snr_range_db=AXIS_DB,
         use_policy=use_policy,
         strict=strict,
     )
@@ -88,7 +90,9 @@ class TestOneRowSolver:
     def test_off_axis_strict_diagnosis_matches_the_solver(self):
         constraints = (Constraint("loss", 1e-30),)
         with pytest.raises(InfeasibleError) as scalar:
-            evaluator = ModelEvaluator(snr_by_level=snr_map_from_reference(25.0))
+            evaluator = ModelEvaluator(
+                snr_by_level=snr_map_from_reference(OFF_AXIS_LOW_DB)
+            )
             solve_epsilon_constraint(
                 evaluate_grid_columns(evaluator, SMALL_GRID, 10.0),
                 "energy",
@@ -96,7 +100,7 @@ class TestOneRowSolver:
             )
         with pytest.raises(InfeasibleError) as fleet:
             engine(True, constraints=constraints, strict=True).step(
-                FleetState.from_base_snr([25.0])
+                FleetState.from_base_snr([OFF_AXIS_LOW_DB])
             )
         assert str(fleet.value) == str(scalar.value)
 
@@ -109,7 +113,9 @@ class TestNonFiniteSnr:
         ids=["unconstrained", "constrained"],
     )
     def test_non_finite_links_are_infeasible(self, use_policy, constraints):
-        state = FleetState.from_base_snr([5.0, *NON_FINITE, 30.0])
+        state = FleetState.from_base_snr(
+            [5.0, *NON_FINITE, OFF_AXIS_HIGH_DB]
+        )
         report = engine(use_policy, constraints=constraints).step(state)
         bad = np.array([False, True, True, True, False])
         np.testing.assert_array_equal(report.infeasible, bad)
@@ -168,13 +174,13 @@ class TestNonFiniteSnr:
 #: On-axis bin centres, jittered in-bin SNRs, exact bin edges (half a
 #: quantum off a centre, where rounding goes to even), off-axis SNRs on
 #: both sides, and non-finite values.
-_on_axis = st.integers(0, 20).map(lambda k: k * QUANTUM_DB)
+_on_axis = st.integers(-20, 80).map(lambda k: k * QUANTUM_DB)
 _snr = st.one_of(
     _on_axis,
     st.tuples(_on_axis, st.floats(-0.24, 0.24)).map(sum),
     st.tuples(_on_axis, st.sampled_from((-0.25, 0.25))).map(sum),
-    st.floats(-30.0, -0.75),
-    st.floats(10.75, 45.0),
+    st.floats(-30.0, -10.75),
+    st.floats(40.75, 60.0),
     st.sampled_from(NON_FINITE),
 )
 _constraints = st.lists(

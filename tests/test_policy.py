@@ -22,7 +22,7 @@ from repro.core.optimization import (
     snr_map_from_reference,
     solve_epsilon_constraint,
 )
-from repro.errors import FleetError, InfeasibleError, OptimizationError
+from repro.errors import InfeasibleError, OptimizationError
 from repro.fleet import FleetEngine, FleetState
 from repro.serve import (
     FleetRecommendRequest,
@@ -298,12 +298,9 @@ class TestFleetEnginePolicy:
         )
 
     def test_off_axis_links_fall_back_to_the_exact_solve(self):
-        snr_db = np.array([5.0, 8.0, 15.0, 18.0])
-        engine = FleetEngine(
-            grid=SMALL_GRID,
-            use_policy=True,
-            policy_snr_range_db=(0.0, 10.0),
-        )
+        # The default policy axis covers -10..40 dB.
+        snr_db = np.array([5.0, 8.0, -15.0, 45.0])
+        engine = FleetEngine(grid=SMALL_GRID, use_policy=True)
         policy_state = self.fleet_state(snr_db)
         report = engine.step(policy_state)
         assert report.n_policy_links == 2
@@ -325,10 +322,6 @@ class TestFleetEnginePolicy:
         report = engine.step(self.fleet_state([6.0, 7.0]))
         assert report.n_policy_links == 0
         assert report.n_fallback_links == 0
-
-    def test_invalid_policy_range_raises(self):
-        with pytest.raises(FleetError):
-            FleetEngine(grid=SMALL_GRID, policy_snr_range_db=(5.0, 1.0))
 
     def test_report_stats_carry_policy_counts(self):
         engine = FleetEngine(grid=SMALL_GRID, use_policy=True)

@@ -1,11 +1,16 @@
 """Routing subsystem tests: table construction determinism, vectorized
-path composition pinned to the scalar reference, the relay-load fixed
-point, and the routed engine's end-to-end contract."""
+path composition pinned to the scalar reference, the relay-load sweep
+pinned to a naive per-node recurrence, and the routed engine's
+end-to-end contract."""
 
 import numpy as np
 import pytest
 
-from repro.core.optimization import Constraint, TuningGrid
+from repro.core.optimization import (
+    Constraint,
+    TuningGrid,
+    queue_composition_columns,
+)
 from repro.errors import FleetError, RoutingError
 from repro.fleet import (
     FleetEngine,
@@ -196,6 +201,38 @@ class TestComposition:
             )
 
 
+def naive_relay_load(table, columns):
+    """(arrival, delivered) per node by a recursive walk, children first.
+
+    A node's arrival is its own sampling rate plus what its children
+    deliver; it delivers ``arrival × (1 − plr_total)`` (nothing when its
+    link is down), with ``plr_total`` composed one node at a time.
+    """
+    arrival = np.zeros(table.n_nodes)
+    delivered = np.zeros(table.n_nodes)
+
+    def visit(node):
+        inbound = sum(visit(child) for child in table.children_of(node))
+        if node == table.sink:
+            return 0.0
+        rate = 1e3 / columns["t_pkt_ms"][node] + inbound
+        one = slice(node, node + 1)
+        plr_total = queue_composition_columns(
+            service_delay_s=columns["service_delay_s"][one],
+            service_scv=columns["service_scv"],
+            q_max=columns["q_max"][one],
+            t_pkt_ms=np.array([1e3 / rate]),
+            plr_radio=columns["plr_radio"][one],
+        )["plr_total"][0]
+        arrival[node] = rate
+        if columns["link_up"][node]:
+            delivered[node] = rate * (1.0 - plr_total)
+        return delivered[node]
+
+    visit(table.sink)
+    return arrival, delivered
+
+
 class TestRelayLoad:
     def uplink_columns(self, table, t_pkt_ms=100.0, plr_radio=0.05):
         n = table.n_nodes
@@ -208,12 +245,37 @@ class TestRelayLoad:
             "link_up": np.ones(n, dtype=bool),
         }
 
-    def test_converges_on_three_level_tree(self):
+    def random_uplink_columns(self, table, seed, plr_radio=(0.0, 0.3)):
+        rng = np.random.default_rng(seed)
+        n = table.n_nodes
+        return {
+            "service_delay_s": rng.uniform(0.002, 0.02, n),
+            "service_scv": 0.7,
+            "q_max": rng.integers(1, 31, n).astype(float),
+            "t_pkt_ms": rng.uniform(50.0, 500.0, n),
+            "plr_radio": rng.uniform(*plr_radio, n),
+            "link_up": rng.random(n) > 0.1,
+        }
+
+    def assert_matches_naive(self, table, columns):
+        load = iterate_relay_load(table, **columns)
+        arrival, delivered = naive_relay_load(table, columns)
+        np.testing.assert_allclose(load.arrival_pps, arrival, rtol=1e-12)
+        np.testing.assert_allclose(load.delivered_pps, delivered, rtol=1e-12)
+
+    def test_sweep_matches_naive_recurrence_on_three_level_tree(self):
         table = three_level_table()
-        load = iterate_relay_load(table, **self.uplink_columns(table))
-        assert load.converged
-        assert load.max_residual_pps <= 1e-9
-        assert load.n_iterations < 64
+        self.assert_matches_naive(table, self.uplink_columns(table))
+        self.assert_matches_naive(table, self.random_uplink_columns(table, 3))
+
+    def test_sweep_matches_naive_recurrence_on_mesh_tree(self):
+        # A 20x20 lattice (36 hop levels) over lossy links: the deepest
+        # nodes' traffic reaches the sink heavily attenuated, yet counts.
+        table = routes_for_topology(grid_topology(760, seed=5), strategy="mesh")
+        assert table.max_hops > 30
+        self.assert_matches_naive(
+            table, self.random_uplink_columns(table, 9, plr_radio=(0.3, 0.9))
+        )
 
     def test_flow_conservation_at_fixed_point(self):
         table = three_level_table()
@@ -261,14 +323,7 @@ class TestRelayLoad:
         first = iterate_relay_load(table, **self.uplink_columns(table))
         second = iterate_relay_load(table, **self.uplink_columns(table))
         assert np.array_equal(first.arrival_pps, second.arrival_pps)
-        assert first.n_iterations == second.n_iterations
-
-    def test_bad_damping_rejected(self):
-        table = three_level_table()
-        with pytest.raises(RoutingError, match="damping"):
-            iterate_relay_load(
-                table, damping=0.0, **self.uplink_columns(table)
-            )
+        assert np.array_equal(first.delivered_pps, second.delivered_pps)
 
     def test_wrong_shape_rejected(self):
         table = three_level_table()
@@ -357,11 +412,26 @@ class TestRoutedEngine:
         assert report.n_paths == table.n_paths
         assert 0 <= report.n_paths_feasible <= report.n_paths
         assert report.relay_converged
-        assert report.relay_iterations >= 1
+        assert report.relay_iterations == 1
         assert np.isfinite(report.network_energy_uj_per_bit)
         stats = report.stats()
         assert stats["n_paths"] == table.n_paths
         assert "n_paths_feasible" in stats
+
+    def test_long_chain_is_exact_in_one_sweep(self):
+        # 100 links in series sampling once a second: every relay carries
+        # its own packet plus what survives the rest of the chain.
+        n_links = 100
+        table = build_routes(
+            n_links + 1, tuple((i, i + 1) for i in range(n_links)), sink=0
+        )
+        engine = self.routed(table, grid=TuningGrid(t_pkt_values_ms=(1000.0,)))
+        report = engine.step(snr_state(np.full(n_links, 25.0)))
+        assert report.relay_converged
+        load = engine.last_load
+        for relay in range(1, n_links):
+            expected = 1.0 + load.delivered_pps[relay + 1]
+            assert load.arrival_pps[relay] == pytest.approx(expected, rel=1e-12)
 
     def test_infeasible_link_kills_its_paths(self):
         table = three_level_table()
