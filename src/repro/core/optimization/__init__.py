@@ -41,6 +41,7 @@ from .kernels import (
     grid_knob_columns,
     knob_config,
     queue_composition_columns,
+    queue_loss_columns,
 )
 from .pareto import dominates, knee_point, nondominated_mask, pareto_front
 from .policy import (
@@ -106,6 +107,7 @@ __all__ = [
     "evaluate_metric_planes",
     "grid_knob_columns",
     "queue_composition_columns",
+    "queue_loss_columns",
     "infeasible_error",
     "nondominated_mask",
     "case_study_base_config",

@@ -32,7 +32,7 @@ specification, this module is the fast one.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +61,7 @@ __all__ = [
     "grid_knob_columns",
     "knob_config",
     "queue_composition_columns",
+    "queue_loss_columns",
 ]
 
 #: Near-one tolerance of the M/M/1/K blocking formula's removable
@@ -461,9 +462,12 @@ def queue_composition_columns(
     """
     service_s = np.asarray(service_delay_s, dtype=float)
     qmax = np.asarray(q_max, dtype=float)
-    tpkt_ms = np.asarray(t_pkt_ms, dtype=float)
-    radio = np.asarray(plr_radio, dtype=float)
-    rho = service_s / (tpkt_ms / 1e3)
+    rho, plr_queue, plr_total = queue_loss_columns(
+        service_s,
+        qmax,
+        np.asarray(t_pkt_ms, dtype=float),
+        np.asarray(plr_radio, dtype=float),
+    )
     full_queue_wait_s = qmax * service_s
     scv = service_scv
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -473,15 +477,34 @@ def queue_composition_columns(
         np.minimum(stable_wait_s, full_queue_wait_s),
         full_queue_wait_s,
     )
-    rho_clipped = np.minimum(rho, RHO_QUEUE_CLIP)
-    plr_queue = _mm1k_blocking_column(rho_clipped, qmax + 1.0)
-    plr_total = plr_queue + (1.0 - plr_queue) * radio
     return {
         "rho": rho,
         "delay_ms": (service_s + wait_s) * 1e3,
         "plr_queue": plr_queue,
         "plr_total": plr_total,
     }
+
+
+def queue_loss_columns(
+    service_delay_s: np.ndarray,
+    q_max: np.ndarray,
+    t_pkt_ms: np.ndarray,
+    plr_radio: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rho, plr_queue, plr_total)``: the loss tail of the composition.
+
+    Utilization, M/M/1/K blocking at the clipped utilization, and the
+    series loss total, over float arrays — the part of
+    :func:`queue_composition_columns` (which calls it) that decides how
+    much traffic a hop delivers. The relay sweep runs only this per hop
+    level and composes the delay columns once afterwards.
+    """
+    rho = service_delay_s / (t_pkt_ms / 1e3)
+    plr_queue = _mm1k_blocking_column(
+        np.minimum(rho, RHO_QUEUE_CLIP), q_max + 1.0
+    )
+    plr_total = plr_queue + (1.0 - plr_queue) * plr_radio
+    return rho, plr_queue, plr_total
 
 
 def evaluate_columns(

@@ -2,11 +2,12 @@
 
 The epsilon-constraint answer for a link is fully determined by the
 tuple (SNR bin, objective, constraint bounds, grid): nothing else enters
-the solve. Today both the serve oracle and the fleet engine pay a masked
-argmin over the full grid per *distinct* SNR at query time. This module
-pays that cost once, for every bin of a supported SNR axis, and stores
-the answers column-wise so a recommend becomes a memory-bound array
-lookup whose latency is independent of grid size.
+the solve. Without a table, a recommend pays a masked argmin over the
+full grid per *distinct* SNR at query time (:func:`solve_rows`; the
+fleet engine keeps those off-axis answers, so it pays once per SNR and
+engine). This module pays that cost once, for every bin of a supported
+SNR axis, and stores the answers column-wise so a recommend becomes a
+memory-bound array lookup whose latency is independent of grid size.
 
 A :class:`PolicyTable` is compiled in one blocked vectorized pass over
 the same metric planes the fleet engine solves

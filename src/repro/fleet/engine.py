@@ -11,20 +11,23 @@ one knob-column grid and differs only by a per-link scalar. One step
 2. gathers each on-axis link's answer out of a lazily compiled
    :class:`~repro.core.optimization.PolicyTable` — one ``np.take`` per
    answer column, no solve;
-3. solves the remaining (off-axis) links' distinct quantized SNRs with
+3. answers the remaining (off-axis) links per distinct quantized SNR.
+   Each off-axis SNR is solved once per engine with
    :func:`~repro.core.optimization.solve_rows`, the same row solver the
-   table was compiled with, so both kinds of answer are identical to
+   table was compiled with, and its answer is kept (sorted by SNR, never
+   evicted) so later steps gather it like an on-axis bin. Both kinds of
+   answer are identical to
    :func:`~repro.core.optimization.solve_epsilon_constraint` (first-index
-   tie-break) — ten thousand links typically fold into a few hundred
-   distinct SNRs;
+   tie-break);
 4. applies **hysteresis**: a configured link switches only when the
    objective improves on its current configuration (re-evaluated at the
    new SNR) by more than ``hysteresis`` relative — the paper's "don't
-   chase noise" guideline at fleet scale.
+   chase noise" guideline at fleet scale. The metric columns of that
+   re-evaluation are kept in :attr:`FleetEngine.last_metrics`.
 
-With ``use_policy=False`` or ``snr_quantum_db=0`` there is no table, so
-every link is off-axis and step 3 solves the whole fleet: the exact
-reference mode.
+With ``use_policy=False`` or ``snr_quantum_db=0`` there is no table and
+no kept answer, so every link is off-axis and step 3 solves the whole
+fleet every step: the exact reference mode.
 
 Links with no feasible configuration are marked ``config_index = −1``
 (objective NaN) and the step carries on; ``strict=True`` instead raises
@@ -68,6 +71,11 @@ __all__ = [
     "FleetEngine",
     "FleetStepReport",
 ]
+
+
+def _answer_columns(answers: RowAnswers) -> Tuple[np.ndarray, ...]:
+    """The per-row answer a fleet step needs: index, objective, feasible."""
+    return answers.best_index, answers.best_objective, answers.feasible
 
 
 @dataclass(frozen=True)
@@ -163,6 +171,21 @@ class FleetEngine:
         #: exact SNRs", which cannot be tabulated.
         self.use_policy = bool(use_policy) and self.snr_quantum_db > 0.0
         self._policy: Optional[PolicyTable] = None
+        #: Off-axis answers solved so far (policy mode): the quantized
+        #: SNRs, sorted, and their (best_index, best_objective, feasible).
+        self._solved_snr_db = np.empty(0)
+        self._solved: Tuple[np.ndarray, ...] = (
+            np.empty(0, dtype=np.int64),
+            np.empty(0),
+            np.empty(0, dtype=bool),
+        )
+        #: ``(config_index, metrics)`` of the most recent step's hysteresis
+        #: check: the metric columns of each link's pre-step configuration
+        #: (row 0 for an unconfigured link) at its quantized SNR (0 dB for a
+        #: non-finite one). None when no link was configured.
+        self.last_metrics: Optional[
+            Tuple[np.ndarray, Dict[str, np.ndarray]]
+        ] = None
         self._knobs = grid_knob_columns(self.grid)
         #: Per-configuration SNR offset from the reference level (dB).
         self._offset_db = level_offset_lut_db(self._knobs[0])[self._knobs[0]]
@@ -221,6 +244,35 @@ class FleetEngine:
             self.constraints,
         )
 
+    def _off_axis_answers(
+        self, unique_snr_db: np.ndarray
+    ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+        """Answers at sorted distinct off-axis SNRs, and which were solved.
+
+        Exact mode solves every SNR. In policy mode only the SNRs no
+        earlier step solved go to the row solver; their answers are
+        merged into the kept ones and every SNR is gathered from there.
+        Keys are the quantized float SNRs themselves, so any finite SNR
+        has its own key.
+        """
+        if self._policy is None:
+            solved = np.ones(unique_snr_db.size, dtype=bool)
+            return _answer_columns(self._solve(unique_snr_db)), solved
+        missed = ~np.isin(
+            unique_snr_db, self._solved_snr_db, assume_unique=True
+        )
+        if missed.any():
+            new_snr_db = unique_snr_db[missed]
+            at = np.searchsorted(self._solved_snr_db, new_snr_db)
+            fresh = _answer_columns(self._solve(new_snr_db))
+            self._solved_snr_db = np.insert(self._solved_snr_db, at, new_snr_db)
+            self._solved = tuple(
+                np.insert(kept, at, column)
+                for kept, column in zip(self._solved, fresh)
+            )
+        slots = np.searchsorted(self._solved_snr_db, unique_snr_db)
+        return tuple(column[slots] for column in self._solved), missed
+
     def _current_objective(
         self, state: FleetState, snr_db: np.ndarray, has_current: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -229,12 +281,14 @@ class FleetEngine:
         Evaluated at the same (quantized) SNR the candidates were solved
         at, so the hysteresis comparison is apples-to-apples. Links
         without a current configuration get placeholder values that the
-        caller masks out via ``has_current``.
+        caller masks out via ``has_current``. The metric columns are kept
+        in :attr:`last_metrics`.
         """
         safe_index = np.where(has_current, state.config_index, 0)
         metrics = evaluate_metric_planes(
             self.evaluator, **self.metric_inputs(safe_index, snr_db)
         )
+        self.last_metrics = (safe_index, metrics)
         current_objective = objective_from_planes(metrics, self.objective)
         current_feasible = feasible_mask(metrics, self.constraints)
         return current_objective, current_feasible
@@ -243,12 +297,18 @@ class FleetEngine:
         """Recommend configurations for every link and update the state.
 
         One vectorized pass: links on the policy axis gather their bin's
-        precompiled answer, the rest are solved once per distinct
-        quantized SNR, and hysteresis decides whether each configured
-        link actually switches. A link whose SNR is not finite has no
-        answer: it is marked infeasible (a :class:`FleetError` in strict
-        mode).
+        precompiled answer, the rest gather their quantized SNR's kept
+        answer (solved once per engine, on first sight), and hysteresis
+        decides whether each configured link actually switches. A link
+        whose SNR is not finite has no answer: it is marked infeasible (a
+        :class:`FleetError` in strict mode).
+
+        ``n_policy_links`` counts the links answered by a gather, from
+        the axis or the kept off-axis answers; ``n_fallback_links`` the
+        rest (links solved this step and links with a non-finite SNR).
+        Both are 0 in exact mode.
         """
+        self.last_metrics = None
         quantized_snr_db = quantize_snr_db(state.snr_db, self.snr_quantum_db)
         finite = np.isfinite(quantized_snr_db)
         if not finite.all():
@@ -263,17 +323,22 @@ class FleetEngine:
             quantized_snr_db = np.where(finite, quantized_snr_db, 0.0)
 
         # The one candidate path: links on the policy axis gather their
-        # bin's answer, every other finite link is solved once per
-        # distinct quantized SNR. Without a table every link is off-axis.
+        # bin's answer, every other finite link its distinct quantized
+        # SNR's answer. Without a table every link is off-axis.
         n_links = len(state)
         candidate_index = np.full(n_links, -1, dtype=np.int64)
         candidate_objective = np.full(n_links, np.nan)
         feasible = np.zeros(n_links, dtype=bool)
         on_axis = np.zeros(n_links, dtype=bool)
+        n_solved = 0
         n_unique_bins = 0
         policy = self.policy_table()
         if policy is not None:
-            local = policy.local_bins(quantized_snr_db)
+            # A finite SNR past the int64 bin range (say 1e300 dB) casts
+            # to a bin far off the axis; its answer comes from its own
+            # float key below.
+            with np.errstate(invalid="ignore"):
+                local = policy.local_bins(quantized_snr_db)
             on_axis = finite & policy.in_axis(local)
             bins = local[on_axis]
             (
@@ -287,10 +352,13 @@ class FleetEngine:
             unique_snr_db, inverse = np.unique(
                 quantized_snr_db[off_axis], return_inverse=True
             )
-            answers = self._solve(unique_snr_db)
-            candidate_index[off_axis] = answers.best_index[inverse]
-            candidate_objective[off_axis] = answers.best_objective[inverse]
-            feasible[off_axis] = answers.feasible[inverse]
+            answers, solved = self._off_axis_answers(unique_snr_db)
+            (
+                candidate_index[off_axis],
+                candidate_objective[off_axis],
+                feasible[off_axis],
+            ) = (column[inverse] for column in answers)
+            n_solved = int(np.count_nonzero(solved[inverse]))
             n_unique_bins += int(unique_snr_db.size)
         if self.strict and not feasible.all():
             first = int(np.argmin(feasible))
@@ -331,6 +399,10 @@ class FleetEngine:
         )
         reconfigured = new_index != state.config_index
         infeasible = ~feasible
+        # Without a table there is nothing to gather or fall back from.
+        n_gathered = 0
+        if policy is not None:
+            n_gathered = int(np.count_nonzero(finite)) - n_solved
         state.config_index = new_index
         state.objective_value = new_objective
         return FleetStepReport(
@@ -343,10 +415,9 @@ class FleetEngine:
             objective_value=new_objective,
             reconfigured=reconfigured,
             infeasible=infeasible,
-            n_policy_links=int(np.count_nonzero(on_axis)),
-            # Without a table there is nothing to fall back from.
+            n_policy_links=n_gathered,
             n_fallback_links=(
-                int(np.count_nonzero(~on_axis)) if policy is not None else 0
+                n_links - n_gathered if policy is not None else 0
             ),
         )
 

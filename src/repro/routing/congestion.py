@@ -9,12 +9,17 @@ parent, never back down. On a routing tree the dependency only flows
 toward the sink, so the loads are a leaf-to-root recurrence.
 
 :func:`iterate_relay_load` evaluates it in one sweep over the table's
-hop levels, deepest first, in per-node numpy columns. Only the
-t_pkt-dependent tail of the Table III composition is evaluated per level
+hop levels, deepest first. The per-node columns are permuted into the
+table's level order once, so each level is a contiguous slice. Per level
+only the loss tail of the Table III composition runs
+(:func:`~repro.core.optimization.queue_loss_columns`: utilization, M/M/1/K
+blocking, series loss), which is all a level needs to hand its traffic
+upward; the full t_pkt-dependent composition
 (:func:`~repro.core.optimization.queue_composition_columns` — the same
 code path the grid kernels run, so a node carries exactly the metrics a
-single-link evaluation at its effective packet period would produce);
-the per-hop service time and radio loss are computed once and reused.
+single-link evaluation at its effective packet period would produce) is
+evaluated once over every swept node after the sweep. The per-hop
+service time and radio loss are computed once by the caller and reused.
 """
 
 # reprolint: hot-path — relay-load sweep timed by BENCH_routing.json
@@ -25,7 +30,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..core.optimization import queue_composition_columns
+from ..core.optimization import (
+    queue_composition_columns,
+    queue_loss_columns,
+)
 from ..errors import RoutingError
 from .table import RoutingTable
 
@@ -78,9 +86,10 @@ def iterate_relay_load(
     Levels run from the deepest to level 1. When a level is reached its
     children have all delivered, so each node's arrival rate is final:
     own rate + Σ delivered children. Its effective packet period is
-    ``1000 / arrival``, its queueing metrics are composed at that
-    period, and ``arrival × (1 − plr_total)`` is added to its parent's
-    inbound traffic.
+    ``1000 / arrival``, its loss is composed at that period, and
+    ``arrival × (1 − plr_total)`` is added to its parent's inbound
+    traffic. The queueing metrics of every swept node are composed at
+    its effective period after the sweep.
     """
     n_nodes = table.n_nodes
     service_s = np.asarray(service_delay_s, dtype=float)
@@ -101,44 +110,54 @@ def iterate_relay_load(
                 f"got shape {column.shape}"
             )
 
+    # Level order: the sink at position 0, then each hop level as one
+    # contiguous slice; a level's parents sit at ``level_parent``.
+    order = table.level_nodes
+    starts = table.level_starts.tolist()
+    parent_position = table.level_parent
+    swept = slice(starts[1], order.size)
+    service_s, qmax, radio, up = (
+        column[order] for column in (service_s, qmax, radio, up)
+    )
     # Inbound starts as each node's own offered rate (the configured
     # sampling period); children's deliveries are added level by level.
-    arrival_pps = np.zeros(n_nodes)
-    uplinked = table.uplink_nodes
-    arrival_pps[uplinked] = 1e3 / tpkt_ms[uplinked]
-    delivered_pps = np.zeros(n_nodes)
-    t_eff_ms = np.full(n_nodes, np.nan)
-    metrics = {
-        name: np.full(n_nodes, np.nan)
-        for name in ("rho", "delay_ms", "plr_queue", "plr_total")
-    }
-    starts = table.level_starts
-    ordered = table.level_nodes
-    for level in range(starts.shape[0] - 2, 0, -1):
-        nodes = ordered[starts[level] : starts[level + 1]]
-        arrival = arrival_pps[nodes]
-        t_eff = 1e3 / np.maximum(arrival, MIN_ARRIVAL_PPS)
-        queue = queue_composition_columns(
-            service_delay_s=service_s[nodes],
-            service_scv=service_scv,
-            q_max=qmax[nodes],
-            t_pkt_ms=t_eff,
-            plr_radio=radio[nodes],
+    arrival = np.zeros(order.size)
+    arrival[swept] = 1e3 / tpkt_ms[order[swept]]
+    delivered = np.zeros(order.size)
+    t_eff_ms = np.zeros(order.size)
+    for level in range(len(starts) - 2, 0, -1):
+        nodes = slice(starts[level], starts[level + 1])
+        level_arrival = arrival[nodes]
+        t_eff_ms[nodes] = 1e3 / np.maximum(level_arrival, MIN_ARRIVAL_PPS)
+        _, _, plr_total = queue_loss_columns(
+            service_s[nodes], qmax[nodes], t_eff_ms[nodes], radio[nodes]
         )
-        delivered = np.where(
-            up[nodes], arrival * (1.0 - queue["plr_total"]), 0.0
+        delivered[nodes] = np.where(
+            up[nodes], level_arrival * (1.0 - plr_total), 0.0
         )
-        t_eff_ms[nodes] = t_eff
-        delivered_pps[nodes] = delivered
-        for name, column in metrics.items():
-            column[nodes] = queue[name]
-        np.add.at(arrival_pps, table.parent[nodes], delivered)
+        np.add.at(arrival, parent_position[nodes], delivered[nodes])
 
-    # The sweep added level-1 deliveries into the sink's row.
-    arrival_pps[table.sink] = 0.0
+    queue = queue_composition_columns(
+        service_delay_s=service_s[swept],
+        service_scv=service_scv,
+        q_max=qmax[swept],
+        t_pkt_ms=t_eff_ms[swept],
+        plr_radio=radio[swept],
+    )
+
+    def by_node(column: np.ndarray, fill: float) -> np.ndarray:
+        """A swept level-order column scattered back onto node rows."""
+        scattered = np.full(n_nodes, fill)
+        scattered[order[swept]] = column
+        return scattered
+
+    # The sink's row (which collected the level-1 deliveries) and
+    # excluded nodes keep the placeholders.
     return RelayLoadResult(
-        arrival_pps=arrival_pps,
-        delivered_pps=delivered_pps,
-        t_pkt_eff_ms=t_eff_ms,
-        metrics=metrics,
+        arrival_pps=by_node(arrival[swept], 0.0),
+        delivered_pps=by_node(delivered[swept], 0.0),
+        t_pkt_eff_ms=by_node(t_eff_ms[swept], np.nan),
+        metrics={
+            name: by_node(column, np.nan) for name, column in queue.items()
+        },
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -169,6 +170,21 @@ class RoutingTable:
     def uplink_nodes(self) -> np.ndarray:
         """In-tree non-sink nodes — each owns exactly one uplink edge."""
         return np.flatnonzero(self.hop_count > 0)
+
+    @cached_property
+    def level_parent(self) -> np.ndarray:
+        """Each ``level_nodes`` entry's parent as a ``level_nodes`` position.
+
+        −1 for the sink (position 0). With the per-node columns permuted
+        into ``level_nodes`` order, every hop level is a contiguous slice
+        and a level's parents are gathered through this column.
+        """
+        position = np.full(self.n_nodes, -1, dtype=np.int64)
+        position[self.level_nodes] = np.arange(self.level_nodes.size)
+        parents = self.parent[self.level_nodes]
+        level_parent = np.where(parents >= 0, position[parents], -1)
+        level_parent.setflags(write=False)
+        return level_parent
 
     def children_of(self, node: int) -> np.ndarray:
         """The CSR child slice of one node."""

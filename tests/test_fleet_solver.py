@@ -1,6 +1,7 @@
 """The fleet engine's one candidate path: gather on-axis links out of the
 policy table, solve the rest with the same row solver the table was
-compiled with, and give links with a non-finite SNR no answer."""
+compiled with (once per engine and off-axis SNR, gathered afterwards),
+and give links with a non-finite SNR no answer."""
 
 import math
 
@@ -31,7 +32,8 @@ SMALL_GRID = TuningGrid(
 )
 QUANTUM_DB = 0.5
 AXIS_DB = (0.0, 10.0)
-#: SNRs outside the default policy axis (−10…40 dB): always solved exactly.
+#: SNRs outside the default policy axis (−10…40 dB): solved by the row
+#: solver, not gathered from the table.
 OFF_AXIS_LOW_DB = -15.0
 OFF_AXIS_HIGH_DB = 45.0
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -169,6 +171,62 @@ class TestNonFiniteSnr:
             assert report.n_paths_feasible == table.n_paths - 1
             assert routed.last_paths.delivery_prob[3] == 0.0
             assert np.isfinite(report.network_energy_uj_per_bit)
+
+
+class TestOffAxisAnswersKept:
+    """Policy mode solves an off-axis SNR once per engine, then gathers it."""
+
+    def step_both(self, fleet, exact, snr_db):
+        got = fleet.step(FleetState.from_base_snr(snr_db))
+        want = exact.step(FleetState.from_base_snr(snr_db))
+        np.testing.assert_array_equal(got.config_index, want.config_index)
+        np.testing.assert_array_equal(
+            got.objective_value, want.objective_value
+        )
+        assert got.n_policy_links + got.n_fallback_links == got.n_links
+        return got
+
+    def test_second_step_gathers_every_off_axis_link(self):
+        snr_db = np.linspace(40.75, 60.0, 78)
+        fleet, exact = engine(True), engine(False)
+        first = self.step_both(fleet, exact, snr_db)
+        assert first.n_fallback_links == snr_db.size
+        second = self.step_both(fleet, exact, snr_db)
+        assert second.n_fallback_links == 0
+        assert second.n_policy_links == snr_db.size
+
+    def test_seeded_drift_above_the_axis_matches_the_exact_engine(self):
+        rng = np.random.default_rng(21)
+        base_snr_db = rng.uniform(42.0, 58.0, 200)
+        constraints = (Constraint("delay", 60.0),)
+        fleet = engine(True, constraints=constraints)
+        exact = engine(False, constraints=constraints)
+        policy_state = FleetState.from_base_snr(base_snr_db)
+        exact_state = FleetState.from_base_snr(base_snr_db)
+        n_gathered = 0
+        for _ in range(20):
+            snr_db = np.maximum(
+                base_snr_db + rng.normal(0.0, 1.0, base_snr_db.size), 40.75
+            )
+            policy_state.snr_db = snr_db.copy()
+            exact_state.snr_db = snr_db.copy()
+            got = fleet.step(policy_state)
+            want = exact.step(exact_state)
+            np.testing.assert_array_equal(got.config_index, want.config_index)
+            np.testing.assert_array_equal(
+                got.objective_value, want.objective_value
+            )
+            np.testing.assert_array_equal(got.reconfigured, want.reconfigured)
+            n_gathered += got.n_policy_links
+        assert n_gathered > 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_finite_snrs_get_their_own_answers(self):
+        # Cast to int64 bins, ±1e300 dB would share one key.
+        fleet, exact = engine(True), engine(False)
+        self.step_both(fleet, exact, [1e300, OFF_AXIS_HIGH_DB])
+        report = self.step_both(fleet, exact, [-1e300, 1e300, OFF_AXIS_HIGH_DB])
+        assert report.n_fallback_links == 1
 
 
 #: On-axis bin centres, jittered in-bin SNRs, exact bin edges (half a

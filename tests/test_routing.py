@@ -1,7 +1,7 @@
 """Routing subsystem tests: table construction determinism, vectorized
 path composition pinned to the scalar reference, the relay-load sweep
-pinned to a naive per-node recurrence, and the routed engine's
-end-to-end contract."""
+pinned to a naive per-node recurrence and bit for bit to a per-level
+reference, and the routed engine's end-to-end contract."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ import pytest
 from repro.core.optimization import (
     Constraint,
     TuningGrid,
+    evaluate_metric_planes,
+    quantize_snr_db,
     queue_composition_columns,
 )
 from repro.errors import FleetError, RoutingError
@@ -19,6 +21,7 @@ from repro.fleet import (
     random_geometric_topology,
 )
 from repro.routing import (
+    MIN_ARRIVAL_PPS,
     RoutedFleetEngine,
     RoutingTable,
     build_routes,
@@ -233,6 +236,49 @@ def naive_relay_load(table, columns):
     return arrival, delivered
 
 
+def per_level_relay_load(table, columns):
+    """The relay sweep over node-indexed columns, one composition per level.
+
+    Each level gathers its nodes' columns, composes the full queueing
+    metrics at the effective packet period and scatters them back; the
+    deliveries go to the parents with ``np.add.at`` in level order.
+    """
+    n_nodes = table.n_nodes
+    arrival = np.zeros(n_nodes)
+    uplinked = table.uplink_nodes
+    arrival[uplinked] = 1e3 / columns["t_pkt_ms"][uplinked]
+    delivered = np.zeros(n_nodes)
+    t_eff_ms = np.full(n_nodes, np.nan)
+    metrics = {
+        name: np.full(n_nodes, np.nan)
+        for name in ("rho", "delay_ms", "plr_queue", "plr_total")
+    }
+    starts = table.level_starts
+    for level in range(starts.shape[0] - 2, 0, -1):
+        nodes = table.level_nodes[starts[level] : starts[level + 1]]
+        level_arrival = arrival[nodes]
+        t_eff = 1e3 / np.maximum(level_arrival, MIN_ARRIVAL_PPS)
+        queue = queue_composition_columns(
+            service_delay_s=columns["service_delay_s"][nodes],
+            service_scv=columns["service_scv"],
+            q_max=columns["q_max"][nodes],
+            t_pkt_ms=t_eff,
+            plr_radio=columns["plr_radio"][nodes],
+        )
+        level_delivered = np.where(
+            columns["link_up"][nodes],
+            level_arrival * (1.0 - queue["plr_total"]),
+            0.0,
+        )
+        t_eff_ms[nodes] = t_eff
+        delivered[nodes] = level_delivered
+        for name, column in metrics.items():
+            column[nodes] = queue[name]
+        np.add.at(arrival, table.parent[nodes], level_delivered)
+    arrival[table.sink] = 0.0
+    return arrival, delivered, t_eff_ms, metrics
+
+
 class TestRelayLoad:
     def uplink_columns(self, table, t_pkt_ms=100.0, plr_radio=0.05):
         n = table.n_nodes
@@ -262,6 +308,30 @@ class TestRelayLoad:
         arrival, delivered = naive_relay_load(table, columns)
         np.testing.assert_allclose(load.arrival_pps, arrival, rtol=1e-12)
         np.testing.assert_allclose(load.delivered_pps, delivered, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", ["three-level", "mesh", "chain"])
+    def test_sliced_sweep_is_the_per_level_composition(self, shape):
+        if shape == "three-level":
+            table = three_level_table()
+        elif shape == "mesh":
+            table = routes_for_topology(
+                grid_topology(760, seed=5), strategy="mesh"
+            )
+        else:
+            table = build_routes(
+                101, tuple((i, i + 1) for i in range(100)), sink=0
+            )
+        columns = self.random_uplink_columns(table, 17, plr_radio=(0.0, 0.9))
+        load = iterate_relay_load(table, **columns)
+        arrival, delivered, t_eff_ms, metrics = per_level_relay_load(
+            table, columns
+        )
+        np.testing.assert_array_equal(load.arrival_pps, arrival)
+        np.testing.assert_array_equal(load.delivered_pps, delivered)
+        np.testing.assert_array_equal(load.t_pkt_eff_ms, t_eff_ms)
+        assert load.metrics.keys() == metrics.keys()
+        for name, column in metrics.items():
+            np.testing.assert_array_equal(load.metrics[name], column)
 
     def test_sweep_matches_naive_recurrence_on_three_level_tree(self):
         table = three_level_table()
@@ -432,6 +502,51 @@ class TestRoutedEngine:
         for relay in range(1, n_links):
             expected = 1.0 + load.delivered_pps[relay + 1]
             assert load.arrival_pps[relay] == pytest.approx(expected, rel=1e-12)
+
+    def test_edge_metrics_are_the_full_planes_at_the_chosen_configs(
+        self, monkeypatch
+    ):
+        # Rows the hysteresis check already evaluated are reused; each
+        # step must still equal one plane evaluation of every link.
+        topology = grid_topology(60, seed=4)
+        engine = self.routed(routes_for_topology(topology), path_loss_eps=0.5)
+        inner = engine.engine
+        captured = []
+        edge_metrics = engine._edge_metrics
+
+        def capture(state, config_index):
+            metrics, inputs = edge_metrics(state, config_index)
+            captured.append(metrics)
+            return metrics, inputs
+
+        monkeypatch.setattr(engine, "_edge_metrics", capture)
+        rng = np.random.default_rng(5)
+        base_snr_db = rng.uniform(0.0, 30.0, len(topology))
+        state = snr_state(base_snr_db)
+        seen = dict.fromkeys(("adopted", "configured", "infeasible", "nan"), 0)
+        for _ in range(4):
+            snr_db = base_snr_db + rng.normal(0.0, 4.0, base_snr_db.size)
+            snr_db[rng.integers(0, snr_db.size, 3)] = np.nan
+            snr_db[rng.integers(0, snr_db.size, 3)] = -40.0
+            state.snr_db = snr_db
+            before = state.config_index.copy()
+            after = engine.step(state).config_index
+            want = evaluate_metric_planes(
+                inner.evaluator,
+                **inner.metric_inputs(
+                    np.where(after >= 0, after, 0),
+                    quantize_snr_db(snr_db, inner.snr_quantum_db),
+                ),
+            )
+            got = captured.pop()
+            assert got.keys() == want.keys()
+            for name, column in want.items():
+                np.testing.assert_array_equal(got[name], column)
+            seen["adopted"] += np.sum((before >= 0) & (after >= 0) & (after != before))
+            seen["configured"] += np.sum((before < 0) & (after >= 0))
+            seen["infeasible"] += np.sum((before >= 0) & (after < 0))
+            seen["nan"] += np.sum(np.isnan(snr_db))
+        assert all(seen.values()), seen
 
     def test_infeasible_link_kills_its_paths(self):
         table = three_level_table()
