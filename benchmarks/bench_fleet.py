@@ -11,7 +11,11 @@ is sampled on a subset and extrapolated.
 Both engine modes are timed side by side: the exact per-step masked
 argmin (``use_policy=False``) and the policy-table gather
 (``use_policy=True``), whose per-step cost is a handful of ``np.take``
-calls against a table compiled once during warmup.
+calls against a table compiled once during warmup. Those steps start
+from an unconfigured fleet, so hysteresis has nothing to check; the
+policy engine is also timed on a configured, drifted fleet at 10,000
+links, where every link's current configuration is read back from the
+table's kept objective and feasibility planes.
 
 Claims enforced every run:
 
@@ -20,7 +24,8 @@ Claims enforced every run:
 * on a sampled subset of links the batched answer equals the naive
   per-link solve: identical configuration choice, objective within 1e-9;
 * the policy engine's answers are identical to the exact engine's on the
-  whole fleet (same config indices, same objective column bit for bit).
+  whole fleet (same config indices, same objective column bit for bit),
+  from an unconfigured and from a configured, drifted state.
 
 Results land in ``BENCH_fleet.json`` at the repo root.
 
@@ -59,6 +64,9 @@ SNR_RANGE_DB = (0.0, 25.0)
 SNR_QUANTUM_DB = 0.25
 SPEEDUP_FLOOR = 20.0
 EQUIVALENCE_ATOL = 1e-9
+#: SNR drift (dB, standard deviation) between the step that configures
+#: the fleet and the timed configured-state step.
+CONFIGURED_DRIFT_DB = 1.0
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
 
 _QUICK = bool(os.environ.get("BENCH_FLEET_QUICK"))
@@ -83,6 +91,17 @@ def fleet_state(n_links: int, seed: int = 0) -> FleetState:
         config_index=np.full(n_links, -1, dtype=np.int64),
         objective_value=np.full(n_links, np.nan),
     )
+
+
+def configured_state(n_links: int) -> FleetState:
+    """The synthetic fleet configured by one step, then drifted."""
+    state = fleet_state(n_links, seed=0)
+    make_engine().step(state)
+    rng = RngStreams(1).stream("bench-fleet-drift")
+    state.snr_db = state.base_snr_db + rng.normal(
+        0.0, CONFIGURED_DRIFT_DB, n_links
+    )
+    return state
 
 
 def make_engine(use_policy: bool = False) -> FleetEngine:
@@ -110,6 +129,18 @@ def _time_steps(engine: FleetEngine):
         per_size[n_links] = statistics.median(timings)
         per_size_spread[n_links] = (min(timings), max(timings))
     return per_size, per_size_spread
+
+
+def _time_configured_step(engine: FleetEngine, state: FleetState):
+    """(median, (min, max)) seconds of one step from ``state``, after warmup."""
+    engine.step(state.copy())
+    timings = []
+    for _ in range(ROUNDS):
+        fresh = state.copy()
+        started = time.perf_counter()
+        engine.step(fresh)
+        timings.append(time.perf_counter() - started)
+    return statistics.median(timings), (min(timings), max(timings))
 
 
 def naive_solve(snr_db: float):
@@ -151,6 +182,10 @@ def test_batched_engine_speedup(benchmark, report):
     policy_per_size, policy_spread = _time_steps(policy_engine)
 
     largest = max(FLEET_SIZES)
+    configured = configured_state(largest)
+    configured_s, configured_spread = _time_configured_step(
+        policy_engine, configured
+    )
     state = fleet_state(largest, seed=0)
     benchmark.pedantic(
         lambda: engine.step(state.copy()), rounds=ROUNDS, iterations=1
@@ -195,6 +230,12 @@ def test_batched_engine_speedup(benchmark, report):
             f"over {ROUNDS} rounds]"
         )
     report.emit(
+        f"{largest:>6} links : {configured_s * 1e3:9.2f} ms/step "
+        f"configured and drifted (hysteresis on every link)  "
+        f"[min {configured_spread[0] * 1e3:.2f} / max "
+        f"{configured_spread[1] * 1e3:.2f} ms over {ROUNDS} rounds]"
+    )
+    report.emit(
         f"speedup      : {policy_speedup:8.1f}x over the naive loop, "
         f"{per_size[largest] / policy_per_size[largest]:.1f}x over the "
         f"exact engine at {largest} links"
@@ -206,12 +247,18 @@ def test_batched_engine_speedup(benchmark, report):
     policy_state = exact_state.copy()
     engine.step(exact_state)
     policy_engine.step(policy_state)
-    engines_identical = bool(
-        np.array_equal(exact_state.config_index, policy_state.config_index)
+    configured_exact = configured.copy()
+    configured_policy = configured.copy()
+    engine.step(configured_exact)
+    policy_engine.step(configured_policy)
+    engines_identical = all(
+        np.array_equal(exact.config_index, policy.config_index)
         and np.array_equal(
-            exact_state.objective_value,
-            policy_state.objective_value,
-            equal_nan=True,
+            exact.objective_value, policy.objective_value, equal_nan=True
+        )
+        for exact, policy in (
+            (exact_state, policy_state),
+            (configured_exact, configured_policy),
         )
     )
     report.emit(
@@ -258,6 +305,15 @@ def test_batched_engine_speedup(benchmark, report):
                 },
                 "policy_step_ms_max": {
                     str(n): policy_spread[n][1] * 1e3 for n in FLEET_SIZES
+                },
+                "policy_configured_step_ms": {
+                    str(largest): configured_s * 1e3
+                },
+                "policy_configured_step_ms_min": {
+                    str(largest): configured_spread[0] * 1e3
+                },
+                "policy_configured_step_ms_max": {
+                    str(largest): configured_spread[1] * 1e3
                 },
                 "policy_speedup_x": policy_speedup,
                 "policy_vs_exact_x": (

@@ -33,7 +33,12 @@ feasibility + eight winner-metric floats ≈ 81 bytes, so the default
 201-bin axis (−10 … 40 dB at 0.25 dB) is ~16 KiB of answers plus one
 shared copy of the grid's knob columns — small enough to compile one
 table per objective at startup and serve millions of lookups per second
-out of cache.
+out of cache. A table compiled with ``keep_planes=True`` also keeps the
+objective and feasibility planes the solve built: 9 bytes per
+(bin, configuration), 8.2 MB at the default axis and grid. Only the
+fleet engine asks for them — its hysteresis check reads a configured
+link's current objective at ``plane[bin, config]``
+(:meth:`PolicyTable.take_planes`) instead of re-evaluating it.
 """
 
 # reprolint: hot-path — policy compile and bin-gather lookups timed by BENCH_policy.json
@@ -131,7 +136,9 @@ class RowAnswers(NamedTuple):
     ``best_index`` / ``best_objective`` / ``feasible`` per row, the
     winner's full metric row (:data:`EVALUATION_METRICS`), and for each
     constrained objective its per-row minimum — what the solver's
-    infeasibility diagnosis reports.
+    infeasibility diagnosis reports. When asked for, the full
+    ``(rows, configs)`` objective and feasibility planes the answers
+    were chosen from (None otherwise).
     """
 
     best_index: np.ndarray
@@ -139,6 +146,8 @@ class RowAnswers(NamedTuple):
     feasible: np.ndarray
     winner_metrics: Dict[str, np.ndarray]
     constraint_best: Dict[str, np.ndarray]
+    objective_plane: Optional[np.ndarray] = None
+    feasible_plane: Optional[np.ndarray] = None
 
 
 def solve_rows(
@@ -149,6 +158,7 @@ def solve_rows(
     objective: str,
     constraints: Sequence[Constraint] = (),
     block_elements: int = 1_000_000,
+    keep_planes: bool = False,
 ) -> RowAnswers:
     """Solve every reference-level SNR in ``snr_db`` over the whole grid.
 
@@ -160,7 +170,9 @@ def solve_rows(
     link's grid evaluation: metric planes → objective → feasibility mask
     → :func:`masked_argmin_rows`. Both :meth:`PolicyTable.compile` (over
     its bin centres) and the fleet engine (over the SNRs its table does
-    not cover) solve through here.
+    not cover) solve through here. ``keep_planes`` returns the objective
+    and feasibility planes too; a single-block solve hands over the
+    block's own arrays, without a copy.
     """
     ptx, payload, tries, retry_ms, qmax, tpkt_ms = knobs
     snr_db = np.asarray(snr_db, dtype=float)
@@ -176,6 +188,7 @@ def solve_rows(
         constraint_best={name: np.empty(n_rows) for name in constrained},
     )
     rows_per_block = max(1, int(block_elements) // int(ptx.shape[0]))
+    planes = []
     for start in range(0, n_rows, rows_per_block):
         rows = slice(start, min(start + rows_per_block, n_rows))
         metrics = evaluate_metric_planes(
@@ -189,8 +202,11 @@ def solve_rows(
             snr_db=snr_db[rows, None] + offsets_db[None, :],
         )
         objective_plane = objective_from_planes(metrics, objective)
+        feasible_plane = feasible_mask(metrics, constraints)
+        if keep_planes:
+            planes.append((objective_plane, feasible_plane))
         chosen, row_feasible = masked_argmin_rows(
-            objective_plane, feasible_mask(metrics, constraints)
+            objective_plane, feasible_plane
         )
         selector = chosen[:, None]
         answers.best_index[rows] = chosen
@@ -207,6 +223,14 @@ def solve_rows(
         # solver's infeasibility diagnosis reports.
         for name, column in answers.constraint_best.items():
             column[rows] = objective_from_planes(metrics, name).min(axis=1)
+    if planes:
+        objective_plane, feasible_plane = (
+            blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            for blocks in zip(*planes)
+        )
+        answers = answers._replace(
+            objective_plane=objective_plane, feasible_plane=feasible_plane
+        )
     return answers
 
 
@@ -220,7 +244,10 @@ class PolicyTable:
     its full metric row, a feasibility flag, and — when constraints are
     present — the per-bin best-achievable value of every constrained
     objective, from which the exact :class:`InfeasibleError` diagnosis
-    is rebuilt on demand. All columns are read-only.
+    is rebuilt on demand. A table compiled with ``keep_planes=True``
+    also holds every configuration's objective and feasibility per bin
+    (``objective_plane`` / ``feasible_plane``, ``(bins, configs)``).
+    All columns and planes are read-only.
     """
 
     objective: str
@@ -234,6 +261,8 @@ class PolicyTable:
     feasible: np.ndarray
     winner_metrics: Mapping[str, np.ndarray]
     constraint_best: Mapping[str, np.ndarray]
+    objective_plane: Optional[np.ndarray] = field(default=None, compare=False)
+    feasible_plane: Optional[np.ndarray] = field(default=None, compare=False)
     compile_ms: float = field(default=float("nan"), compare=False)
 
     def __post_init__(self) -> None:
@@ -265,6 +294,15 @@ class PolicyTable:
             )
         for column in self.knobs:
             column.flags.writeable = False
+        for plane in (self.objective_plane, self.feasible_plane):
+            if plane is None:
+                continue
+            if plane.shape != (n_bins, self.n_configs):
+                raise OptimizationError(
+                    f"policy planes must have shape "
+                    f"{(n_bins, self.n_configs)}, got {plane.shape}"
+                )
+            plane.flags.writeable = False
 
     # ----------------------------------------------------------- compile
 
@@ -278,13 +316,16 @@ class PolicyTable:
         snr_quantum_db: float = DEFAULT_SNR_QUANTUM_DB,
         snr_range_db: Tuple[float, float] = DEFAULT_SNR_RANGE_DB,
         distance_m: float = 10.0,
+        keep_planes: bool = False,
     ) -> "PolicyTable":
         """One vectorized pass over (bins × grid) — the whole axis at once.
 
         The evaluator only contributes its fitted sub-models (SNR enters
         through the explicit planes), so the default — built from the
         paper's reference map — compiles the table any reference-SNR
-        link reads from.
+        link reads from. ``keep_planes`` keeps the solve's objective and
+        feasibility planes for :meth:`take_planes` (9 bytes per bin and
+        configuration).
         """
         check_objectives(objective, constraints)
         if snr_quantum_db <= 0:
@@ -317,6 +358,7 @@ class PolicyTable:
             centers_db,
             objective,
             constraints,
+            keep_planes=keep_planes,
         )
         return cls(
             objective=objective,
@@ -351,7 +393,7 @@ class PolicyTable:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes: per-bin answer columns plus the knob columns."""
+        """Resident bytes: answer columns, knob columns and kept planes."""
         total = (
             self.best_index.nbytes
             + self.best_objective.nbytes
@@ -363,6 +405,8 @@ class PolicyTable:
             total += column.nbytes
         for column in self.knobs:
             total += column.nbytes
+        if self.objective_plane is not None:
+            total += self.objective_plane.nbytes + self.feasible_plane.nbytes
         return int(total)
 
     # ------------------------------------------------------------ lookup
@@ -409,6 +453,25 @@ class PolicyTable:
             np.take(self.best_index, local_bins),
             np.take(self.best_objective, local_bins),
             np.take(self.feasible, local_bins),
+        )
+
+    def take_planes(
+        self, local_bins: np.ndarray, config_index: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(objective, feasible) of each configuration at its on-axis bin.
+
+        One flat ``np.take`` per kept plane at
+        ``bin * n_configs + config``: the value a fresh evaluation of that
+        configuration at the bin centre would give, bit for bit.
+        """
+        if self.objective_plane is None:
+            raise OptimizationError(
+                "this policy table was compiled without keep_planes"
+            )
+        flat = local_bins * self.n_configs + config_index
+        return (
+            np.take(self.objective_plane.reshape(-1), flat),
+            np.take(self.feasible_plane.reshape(-1), flat),
         )
 
     def infeasible_error_at(self, index: int) -> InfeasibleError:

@@ -20,10 +20,14 @@ one knob-column grid and differs only by a per-link scalar. One step
    :func:`~repro.core.optimization.solve_epsilon_constraint` (first-index
    tie-break);
 4. applies **hysteresis**: a configured link switches only when the
-   objective improves on its current configuration (re-evaluated at the
-   new SNR) by more than ``hysteresis`` relative — the paper's "don't
-   chase noise" guideline at fleet scale. The metric columns of that
-   re-evaluation are kept in :attr:`FleetEngine.last_metrics`.
+   objective improves on its current configuration (at the new SNR) by
+   more than ``hysteresis`` relative — the paper's "don't chase noise"
+   guideline at fleet scale. An on-axis link reads its current
+   configuration's objective and feasibility out of the planes the
+   table was compiled from (:meth:`PolicyTable.take_planes`, one flat
+   ``np.take``); an off-axis link's current configuration is evaluated
+   with ``evaluate_metric_planes``. A link with a non-finite SNR is
+   evaluated nowhere: it is infeasible either way.
 
 With ``use_policy=False`` or ``snr_quantum_db=0`` there is no table and
 no kept answer, so every link is off-axis and step 3 solves the whole
@@ -179,13 +183,6 @@ class FleetEngine:
             np.empty(0),
             np.empty(0, dtype=bool),
         )
-        #: ``(config_index, metrics)`` of the most recent step's hysteresis
-        #: check: the metric columns of each link's pre-step configuration
-        #: (row 0 for an unconfigured link) at its quantized SNR (0 dB for a
-        #: non-finite one). None when no link was configured.
-        self.last_metrics: Optional[
-            Tuple[np.ndarray, Dict[str, np.ndarray]]
-        ] = None
         self._knobs = grid_knob_columns(self.grid)
         #: Per-configuration SNR offset from the reference level (dB).
         self._offset_db = level_offset_lut_db(self._knobs[0])[self._knobs[0]]
@@ -200,7 +197,8 @@ class FleetEngine:
 
         The grid's knobs gathered at each link's configuration index, and
         the link's reference-level SNR moved to that configuration's PA
-        level. Shared by hysteresis and the routed engine's edge metrics.
+        level. Shared by hysteresis (off-axis links) and the routed
+        engine's edge metrics.
         """
         ptx, payload, tries, retry_ms, qmax, tpkt_ms = self._knobs
         return {
@@ -219,7 +217,8 @@ class FleetEngine:
         """The compiled policy, or None when the exact path is in use.
 
         Compiled lazily on first access — one blocked pass over the whole
-        SNR axis, after which every on-axis link is gather-only.
+        SNR axis, after which every on-axis link is gather-only. The
+        table keeps its objective and feasibility planes for hysteresis.
         """
         if not self.use_policy:
             return None
@@ -230,6 +229,7 @@ class FleetEngine:
                 objective=self.objective,
                 constraints=self.constraints,
                 snr_quantum_db=self.snr_quantum_db,
+                keep_planes=True,
             )
         return self._policy
 
@@ -274,23 +274,44 @@ class FleetEngine:
         return tuple(column[slots] for column in self._solved), missed
 
     def _current_objective(
-        self, state: FleetState, snr_db: np.ndarray, has_current: np.ndarray
+        self,
+        state: FleetState,
+        snr_db: np.ndarray,
+        current: np.ndarray,
+        on_axis: np.ndarray,
+        local_bins: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(objective, feasibility) of each link's current configuration.
 
-        Evaluated at the same (quantized) SNR the candidates were solved
-        at, so the hysteresis comparison is apples-to-apples. Links
-        without a current configuration get placeholder values that the
-        caller masks out via ``has_current``. The metric columns are kept
-        in :attr:`last_metrics`.
+        At the same (quantized) SNR the candidates were solved at, so the
+        hysteresis comparison is apples-to-apples. ``current`` marks the
+        configured links with a finite SNR: those on the axis read both
+        values out of the policy planes at their bin, the rest are
+        evaluated. Every other link carries a placeholder that the caller
+        masks out.
         """
-        safe_index = np.where(has_current, state.config_index, 0)
-        metrics = evaluate_metric_planes(
-            self.evaluator, **self.metric_inputs(safe_index, snr_db)
-        )
-        self.last_metrics = (safe_index, metrics)
-        current_objective = objective_from_planes(metrics, self.objective)
-        current_feasible = feasible_mask(metrics, self.constraints)
+        config_index = np.where(current, state.config_index, 0)
+        if self._policy is None:
+            current_objective = np.full(len(state), np.nan)
+            current_feasible = np.zeros(len(state), dtype=bool)
+        else:
+            current_objective, current_feasible = self._policy.take_planes(
+                np.where(on_axis, local_bins, 0), config_index
+            )
+        evaluated = np.flatnonzero(current & ~on_axis)
+        if evaluated.size:
+            metrics = evaluate_metric_planes(
+                self.evaluator,
+                **self.metric_inputs(
+                    config_index[evaluated], snr_db[evaluated]
+                ),
+            )
+            current_objective[evaluated] = objective_from_planes(
+                metrics, self.objective
+            )
+            current_feasible[evaluated] = feasible_mask(
+                metrics, self.constraints
+            )
         return current_objective, current_feasible
 
     def step(self, state: FleetState, step_index: int = 0) -> FleetStepReport:
@@ -308,7 +329,6 @@ class FleetEngine:
         rest (links solved this step and links with a non-finite SNR).
         Both are 0 in exact mode.
         """
-        self.last_metrics = None
         quantized_snr_db = quantize_snr_db(state.snr_db, self.snr_quantum_db)
         finite = np.isfinite(quantized_snr_db)
         if not finite.all():
@@ -330,6 +350,7 @@ class FleetEngine:
         candidate_objective = np.full(n_links, np.nan)
         feasible = np.zeros(n_links, dtype=bool)
         on_axis = np.zeros(n_links, dtype=bool)
+        local = None
         n_solved = 0
         n_unique_bins = 0
         policy = self.policy_table()
@@ -371,7 +392,7 @@ class FleetEngine:
         has_current = state.config_index >= 0
         if has_current.any():
             current_objective, current_feasible = self._current_objective(
-                state, quantized_snr_db, has_current
+                state, quantized_snr_db, has_current & finite, on_axis, local
             )
             # Lanes with no feasible candidate carry inf/nan here; their
             # comparison result is discarded by the ~feasible select below.

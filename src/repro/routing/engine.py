@@ -12,9 +12,7 @@ optimizers do:
    :class:`~repro.fleet.engine.FleetEngine`, so the per-link candidate
    solve keeps its policy-table O(1) fast path untouched;
 2. the chosen per-link configurations are evaluated into per-edge
-   metric columns: the inner step's hysteresis check already evaluated
-   every link's pre-step configuration, so one vectorized plane call
-   covers only the links whose configuration changed;
+   metric columns in one vectorized plane call;
 3. relay congestion is solved in one leaf-to-root sweep
    (:func:`~repro.routing.congestion.iterate_relay_load`): each relay
    queues its own traffic plus what its children deliver, inflating the
@@ -144,28 +142,13 @@ class RoutedFleetEngine:
         Evaluated at the same quantized SNR the candidate solve used;
         returns the metrics and the gathered plane inputs. Links with no
         feasible configuration are evaluated at row 0 (their metrics are
-        masked by ``link_up`` downstream). The inner step's hysteresis
-        check already evaluated every link's pre-step configuration, so
-        only the rows whose configuration changed, or whose SNR is not
-        finite (hysteresis evaluated those at 0 dB), are evaluated again.
+        masked by ``link_up`` downstream).
         """
         engine = self.engine
         chosen = np.where(config_index >= 0, config_index, 0)
         snr_db = quantize_snr_db(state.snr_db, engine.snr_quantum_db)
         inputs = engine.metric_inputs(chosen, snr_db)
-        if engine.last_metrics is None:
-            return evaluate_metric_planes(engine.evaluator, **inputs), inputs
-        evaluated_index, evaluated = engine.last_metrics
-        stale = (evaluated_index != chosen) | ~np.isfinite(snr_db)
-        fresh = evaluate_metric_planes(
-            engine.evaluator,
-            **{name: column[stale] for name, column in inputs.items()},
-        )
-        metrics = {}
-        for name, column in fresh.items():
-            metrics[name] = evaluated[name].copy()
-            metrics[name][stale] = column
-        return metrics, inputs
+        return evaluate_metric_planes(engine.evaluator, **inputs), inputs
 
     def _uplink_column(
         self, edge_column: np.ndarray, fill: float = np.nan

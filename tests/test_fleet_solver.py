@@ -15,7 +15,11 @@ from repro.core.optimization import (
     PolicyTable,
     TuningGrid,
     evaluate_grid_columns,
+    evaluate_metric_planes,
+    feasible_mask,
     level_offset_lut_db,
+    objective_from_planes,
+    quantize_snr_db,
     snr_map_from_reference,
     solve_epsilon_constraint,
     solve_rows,
@@ -227,6 +231,104 @@ class TestOffAxisAnswersKept:
         self.step_both(fleet, exact, [1e300, OFF_AXIS_HIGH_DB])
         report = self.step_both(fleet, exact, [-1e300, 1e300, OFF_AXIS_HIGH_DB])
         assert report.n_fallback_links == 1
+
+
+#: Loss bound under which drift turns some configured link's current
+#: configuration infeasible, so hysteresis must release it.
+HYSTERESIS_LOSS_BOUND = 0.05
+_hysteresis_constraints = pytest.mark.parametrize(
+    "constraints",
+    [(), (Constraint("loss", HYSTERESIS_LOSS_BOUND),)],
+    ids=["unconstrained", "loss-bound"],
+)
+
+
+class TestPolicyModeHysteresis:
+    """On the default grid and axis, an on-axis configured link reads its
+    current objective and feasibility from the table's kept planes; the
+    exact engine evaluates them. Both must hold and switch alike."""
+
+    @_hysteresis_constraints
+    def test_policy_engine_steps_like_the_exact_engine(self, constraints):
+        rng = np.random.default_rng(2022)
+        base_snr_db = np.concatenate(
+            [rng.uniform(-8.0, 38.0, 90), rng.uniform(41.0, 50.0, 9), [math.nan]]
+        )
+        policy = FleetEngine(constraints=constraints)
+        exact = FleetEngine(constraints=constraints, use_policy=False)
+        policy_state = FleetState.from_base_snr(base_snr_db)
+        exact_state = FleetState.from_base_snr(base_snr_db)
+        n_held = 0
+        n_turned_infeasible = 0
+        for step in range(12):
+            snr_db = base_snr_db + rng.normal(0.0, 1.5, base_snr_db.size)
+            before = policy_state.config_index.copy()
+            n_turned_infeasible += self.count_turned_infeasible(
+                exact, before, snr_db, constraints
+            )
+            candidates = policy.step(FleetState.from_base_snr(snr_db))
+            policy_state.snr_db = snr_db.copy()
+            exact_state.snr_db = snr_db.copy()
+            got = policy.step(policy_state, step)
+            want = exact.step(exact_state, step)
+
+            np.testing.assert_array_equal(got.config_index, want.config_index)
+            assert got.n_reconfigured == want.n_reconfigured
+            assert np.array_equal(
+                got.objective_value, want.objective_value, equal_nan=True
+            )
+            n_held += int(
+                np.count_nonzero(
+                    (before >= 0)
+                    & (got.config_index == before)
+                    & (candidates.config_index != before)
+                )
+            )
+            assert got.config_index[-1] == -1
+        assert n_held > 0
+        if constraints:
+            assert n_turned_infeasible > 0
+
+    @staticmethod
+    def count_turned_infeasible(fleet, config_index, snr_db, constraints):
+        """Configured links whose configuration breaks a bound at ``snr_db``."""
+        configured = (config_index >= 0) & np.isfinite(snr_db)
+        if not constraints or not configured.any():
+            return 0
+        metrics = evaluate_metric_planes(
+            fleet.evaluator,
+            **fleet.metric_inputs(
+                config_index[configured],
+                quantize_snr_db(snr_db[configured], fleet.snr_quantum_db),
+            ),
+        )
+        return int(np.count_nonzero(~feasible_mask(metrics, constraints)))
+
+    @_hysteresis_constraints
+    def test_kept_planes_are_the_metric_planes_at_bin_centres(
+        self, constraints
+    ):
+        table = FleetEngine(constraints=constraints).policy_table()
+        ptx, payload, tries, retry_ms, qmax, tpkt_ms = table.knobs
+        bins = np.arange(0, len(table), 20)
+        centres_db = np.array([table.bin_center_db(i) for i in bins])
+        metrics = evaluate_metric_planes(
+            ModelEvaluator(snr_by_level=snr_map_from_reference(0.0)),
+            ptx_level=ptx,
+            payload_bytes=payload,
+            n_max_tries=tries,
+            d_retry_ms=retry_ms,
+            q_max=qmax,
+            t_pkt_ms=tpkt_ms,
+            snr_db=centres_db[:, None] + level_offset_lut_db(ptx)[ptx],
+        )
+        np.testing.assert_array_equal(
+            table.objective_plane[bins],
+            objective_from_planes(metrics, "energy"),
+        )
+        np.testing.assert_array_equal(
+            table.feasible_plane[bins], feasible_mask(metrics, constraints)
+        )
 
 
 #: On-axis bin centres, jittered in-bin SNRs, exact bin edges (half a

@@ -18,9 +18,11 @@ from repro.core.optimization import (
     PolicyTable,
     TuningGrid,
     evaluate_grid_columns,
+    level_offset_lut_db,
     masked_argmin_rows,
     snr_map_from_reference,
     solve_epsilon_constraint,
+    solve_rows,
 )
 from repro.errors import InfeasibleError, OptimizationError
 from repro.fleet import FleetEngine, FleetState
@@ -147,6 +149,68 @@ class TestPolicyEquivalence:
         assert stats["n_configs"] == len(SMALL_GRID)
         assert stats["table_bytes"] == table.nbytes
         assert stats["compile_ms"] >= 0.0
+
+
+class TestKeptPlanes:
+    """Only a fleet engine's table keeps the solve's objective and
+    feasibility planes; serve's tables stay answer-sized."""
+
+    #: Default axis and grid: 201 bins × 81 answer bytes plus the six
+    #: 4,560-entry knob columns.
+    DEFAULT_TABLE_BYTES = 201 * 81 + 6 * 4560 * 8
+
+    def test_serve_tables_keep_no_planes(self):
+        for table in (
+            PolicyTable.compile(),
+            Oracle(policy=True).policy_for("energy"),
+        ):
+            assert table.objective_plane is None
+            assert table.feasible_plane is None
+            assert table.nbytes == self.DEFAULT_TABLE_BYTES
+            assert table.stats()["table_bytes"] == self.DEFAULT_TABLE_BYTES
+            with pytest.raises(OptimizationError, match="keep_planes"):
+                table.take_planes(np.zeros(1, np.int64), np.zeros(1, np.int64))
+
+    def test_fleet_table_counts_its_planes(self):
+        table = FleetEngine(grid=SMALL_GRID).policy_table()
+        bare = PolicyTable.compile(grid=SMALL_GRID)
+        shape = (len(table), len(SMALL_GRID))
+        assert table.objective_plane.shape == shape
+        assert table.feasible_plane.shape == shape
+        assert not table.objective_plane.flags.writeable
+        assert not table.feasible_plane.flags.writeable
+        # 8 bytes of objective plus 1 of feasibility per (bin, config).
+        assert table.nbytes == bare.nbytes + 9 * len(table) * len(SMALL_GRID)
+        assert table.stats()["table_bytes"] == table.nbytes
+
+    def test_blocked_compile_keeps_the_same_planes(self):
+        constraints = (Constraint("loss", 0.05),)
+        table = compile_table(constraints=constraints)
+        ptx = table.knobs[0]
+        answers = solve_rows(
+            ModelEvaluator(snr_by_level=snr_map_from_reference(0.0)),
+            table.knobs,
+            level_offset_lut_db(ptx)[ptx],
+            np.array([table.bin_center_db(i) for i in range(len(table))]),
+            "energy",
+            constraints,
+            block_elements=5 * len(SMALL_GRID),
+            keep_planes=True,
+        )
+        whole = PolicyTable.compile(
+            grid=SMALL_GRID,
+            constraints=constraints,
+            snr_quantum_db=QUANTUM_DB,
+            snr_range_db=AXIS_DB,
+            keep_planes=True,
+        )
+        np.testing.assert_array_equal(
+            answers.objective_plane, whole.objective_plane
+        )
+        np.testing.assert_array_equal(
+            answers.feasible_plane, whole.feasible_plane
+        )
+        assert not answers.feasible_plane.all()
 
 
 class TestMaskedArgminRows:
