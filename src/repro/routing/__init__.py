@@ -10,12 +10,13 @@ per-path ones in one hop-level numpy sweep,
 the queueing models from the leaves up, and
 :mod:`~repro.routing.engine` ties them into the routed objective —
 minimize total network energy subject to a loss budget on every
-leaf→sink path.
+leaf→sink path. Its :func:`routed_paths` (per-link answers in, paths
+out) is also what the oracle's routed fleet requests run.
 """
 
 from .compose import PathMetrics, compose_paths, compose_paths_scalar
 from .congestion import MIN_ARRIVAL_PPS, RelayLoadResult, iterate_relay_load
-from .engine import RoutedFleetEngine, per_hop_loss_budget
+from .engine import RoutedFleetEngine, per_hop_loss_budget, routed_paths
 from .table import (
     ROUTING_STRATEGIES,
     RoutingTable,
@@ -36,6 +37,7 @@ __all__ = [
     "compose_paths_scalar",
     "iterate_relay_load",
     "per_hop_loss_budget",
+    "routed_paths",
     "routes_for_topology",
     "select_sink",
 ]

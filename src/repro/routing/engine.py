@@ -22,7 +22,9 @@ optimizers do:
    end-to-end budget — per-path feasibility lands in the step's
    :class:`~repro.fleet.engine.FleetStepReport`.
 
-Steps 2–4 are pure numpy over struct-of-arrays columns. A whole routed
+Steps 2–4 are :func:`routed_paths`, the one routed composition: the
+oracle's ``/v1/fleet/recommend`` runs it over its per-link answers too.
+They are pure numpy over struct-of-arrays columns. A whole routed
 step over the 10,000-node bench lattice (196 hop levels, every link newly
 configured) takes 15–20 ms on a shared 2-vCPU Xeon, 17.5 ms in the
 recorded run (``BENCH_routing.json``).
@@ -38,6 +40,7 @@ import numpy as np
 
 from ..core.optimization import (
     Constraint,
+    ModelEvaluator,
     evaluate_metric_planes,
     quantize_snr_db,
 )
@@ -51,6 +54,7 @@ from .table import RoutingTable
 __all__ = [
     "RoutedFleetEngine",
     "per_hop_loss_budget",
+    "routed_paths",
 ]
 
 
@@ -69,6 +73,65 @@ def per_hop_loss_budget(path_loss_eps: float, max_hops: int) -> float:
     if max_hops < 1:
         raise RoutingError(f"max_hops must be >= 1, got {max_hops!r}")
     return 1.0 - (1.0 - float(path_loss_eps)) ** (1.0 / float(max_hops))
+
+
+def routed_paths(
+    table: RoutingTable,
+    evaluator: ModelEvaluator,
+    inputs: Dict[str, np.ndarray],
+    link_up: np.ndarray,
+    congestion: bool = True,
+) -> Tuple[PathMetrics, Optional[RelayLoadResult], np.ndarray]:
+    """Path metrics of per-link answers over a routing tree (steps 2–4).
+
+    ``inputs`` are the per-edge keyword arguments of
+    ``evaluate_metric_planes`` — each link's chosen knobs and its SNR at
+    that configuration's PA level — and ``link_up`` marks the links that
+    have a configuration. The edges are evaluated in one plane call, the
+    relay loads swept leaf to root (skipped when ``congestion`` is
+    False), down links masked, and the paths composed. Returns the
+    paths, the relay loads (None without congestion) and the per-edge
+    energy column (0 on down links).
+    """
+    metrics = evaluate_metric_planes(evaluator, **inputs)
+    delay_edge = np.asarray(metrics["delay_ms"], dtype=float)
+    plr_edge = np.asarray(metrics["plr_total"], dtype=float)
+    load: Optional[RelayLoadResult] = None
+    if congestion:
+        # Each tree uplink edge belongs to one node.
+        nodes = table.uplink_nodes
+        uplinks = table.parent_edge[nodes]
+
+        def by_node(edge_column: np.ndarray, fill) -> np.ndarray:
+            """One per-edge column scattered onto per-node uplink rows."""
+            column = np.full(table.n_nodes, fill)
+            column[nodes] = edge_column[uplinks]
+            return column
+
+        load = iterate_relay_load(
+            table,
+            service_delay_s=by_node(metrics["t_service_ms"] / 1e3, 0.0),
+            service_scv=evaluator.delay_model.service_scv,
+            q_max=by_node(inputs["q_max"], 1.0),
+            t_pkt_ms=by_node(inputs["t_pkt_ms"], 1.0),
+            plr_radio=by_node(metrics["plr_radio"], 0.0),
+            link_up=by_node(link_up, False),
+        )
+        delay_edge = delay_edge.copy()
+        plr_edge = plr_edge.copy()
+        delay_edge[uplinks] = load.metrics["delay_ms"][nodes]
+        plr_edge[uplinks] = load.metrics["plr_total"][nodes]
+
+    # A down link loses everything and spends nothing.
+    energy_edge = np.where(link_up, metrics["u_eng_uj_per_bit"], 0.0)
+    paths = compose_paths(
+        table,
+        energy_uj_per_bit=energy_edge,
+        delay_ms=np.where(link_up, delay_edge, 0.0),
+        plr_total=np.where(link_up, plr_edge, 1.0),
+        goodput_kbps=np.where(link_up, metrics["max_goodput_kbps"], 0.0),
+    )
+    return paths, load, energy_edge
 
 
 class RoutedFleetEngine:
@@ -134,53 +197,6 @@ class RoutedFleetEngine:
 
     # -------------------------------------------------------------- step
 
-    def _edge_metrics(
-        self, state: FleetState, config_index: np.ndarray
-    ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-        """Per-edge Table III metrics at each link's chosen configuration.
-
-        Evaluated at the same quantized SNR the candidate solve used;
-        returns the metrics and the gathered plane inputs. Links with no
-        feasible configuration are evaluated at row 0 (their metrics are
-        masked by ``link_up`` downstream).
-        """
-        engine = self.engine
-        chosen = np.where(config_index >= 0, config_index, 0)
-        snr_db = quantize_snr_db(state.snr_db, engine.snr_quantum_db)
-        inputs = engine.metric_inputs(chosen, snr_db)
-        return evaluate_metric_planes(engine.evaluator, **inputs), inputs
-
-    def _uplink_column(
-        self, edge_column: np.ndarray, fill: float = np.nan
-    ) -> np.ndarray:
-        """Scatter one per-edge column onto per-node uplink rows."""
-        table = self.table
-        column = np.full(table.n_nodes, fill)
-        nodes = table.uplink_nodes
-        column[nodes] = edge_column[table.parent_edge[nodes]]
-        return column
-
-    def _relay_load(
-        self,
-        metrics: Dict[str, np.ndarray],
-        inputs: Dict[str, np.ndarray],
-        link_up: np.ndarray,
-    ) -> RelayLoadResult:
-        """Relay loads over the tree's uplink columns."""
-        return iterate_relay_load(
-            self.table,
-            service_delay_s=self._uplink_column(
-                metrics["t_service_ms"] / 1e3, fill=0.0
-            ),
-            service_scv=self.engine.evaluator.delay_model.service_scv,
-            q_max=self._uplink_column(inputs["q_max"], fill=1.0),
-            t_pkt_ms=self._uplink_column(inputs["t_pkt_ms"], fill=1.0),
-            plr_radio=self._uplink_column(metrics["plr_radio"], fill=0.0),
-            link_up=self._uplink_column(
-                link_up.astype(float), fill=0.0
-            ).astype(bool),
-        )
-
     def step(self, state: FleetState, step_index: int = 0) -> FleetStepReport:
         """One routed step: per-link solve, congestion, path composition.
 
@@ -200,42 +216,20 @@ class RoutedFleetEngine:
                 f"references edge {highest_edge}"
             )
         report = self.engine.step(state, step_index=step_index)
-        metrics, inputs = self._edge_metrics(state, report.config_index)
+        engine = self.engine
         link_up = report.config_index >= 0
-
-        load: Optional[RelayLoadResult] = None
-        delay_edge = np.asarray(metrics["delay_ms"], dtype=float)
-        plr_edge = np.asarray(metrics["plr_total"], dtype=float)
-        if self.congestion:
-            load = self._relay_load(metrics, inputs, link_up)
-            # Scatter the congestion-adjusted uplink metrics back onto
-            # their edges (each tree uplink edge belongs to one node).
-            nodes = table.uplink_nodes
-            uplinks = table.parent_edge[nodes]
-            delay_edge = delay_edge.copy()
-            plr_edge = plr_edge.copy()
-            delay_edge[uplinks] = load.metrics["delay_ms"][nodes]
-            plr_edge[uplinks] = load.metrics["plr_total"][nodes]
-
-        # A down link loses everything and spends nothing.
-        energy_edge = np.where(link_up, metrics["u_eng_uj_per_bit"], 0.0)
-        delay_edge = np.where(link_up, delay_edge, 0.0)
-        plr_edge = np.where(link_up, plr_edge, 1.0)
-        goodput_edge = np.where(link_up, metrics["max_goodput_kbps"], 0.0)
-
-        paths = compose_paths(
-            table,
-            energy_uj_per_bit=energy_edge,
-            delay_ms=delay_edge,
-            plr_total=plr_edge,
-            goodput_kbps=goodput_edge,
+        # Evaluated at the quantized SNR the candidate solve used; a link
+        # with no feasible configuration is evaluated at row 0.
+        inputs = engine.metric_inputs(
+            np.where(link_up, report.config_index, 0),
+            quantize_snr_db(state.snr_db, engine.snr_quantum_db),
+        )
+        paths, load, energy_edge = routed_paths(
+            table, engine.evaluator, inputs, link_up, self.congestion
         )
         feasible = paths.leaf_feasible(self.path_loss_eps)
-
-        nodes = table.uplink_nodes
-        uplinks = table.parent_edge[nodes]
         network_energy = float(
-            np.where(link_up[uplinks], energy_edge[uplinks], 0.0).sum()
+            energy_edge[table.parent_edge[table.uplink_nodes]].sum()
         )
 
         self.last_paths = paths

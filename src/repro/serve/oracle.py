@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..channel.environment import Environment, HALLWAY_2012
-from ..config import TABLE_I_SPACE
+from ..config import TABLE_I_SPACE, StackConfig
 from ..errors import InfeasibleError, ProtocolError, ReproError, RoutingError
 from ..core.optimization import (
     DEFAULT_SNR_QUANTUM_DB,
@@ -62,8 +62,10 @@ from ..core.optimization import (
     TuningGrid,
     evaluate_grid_columns,
     quantize_snr_db,
+    snr_map_from_reference,
     solve_epsilon_constraint,
 )
+from ..core.optimization.kernels import KNOB_COLUMNS
 from .cache import CacheStats, LruCache
 from .metrics import DEFAULT_BUCKETS_MS, LatencyHistogram
 from .protocol import (
@@ -524,48 +526,39 @@ class Oracle:
     ) -> FleetRoutingSummary:
         """Compose the batch's per-link answers into path-level metrics.
 
-        Builds the collection tree over the routing block's edges, then
-        runs the vectorized composition kernel over the recommended
-        per-link metrics. An infeasible link contributes a dead hop
-        (PLR 1, zero goodput), so every path through it reports as
-        infeasible rather than silently optimistic. A routing block the
-        tree builder rejects (disconnected components, self-loops, a bad
-        sink) is a client error, surfaced as
-        :class:`~repro.errors.ProtocolError`.
+        Runs the routing engine's own stage,
+        :func:`~repro.routing.engine.routed_paths`, over the answers'
+        knobs and SNRs on the tree over the routing block's edges, so
+        path loss and delay include relay congestion. An infeasible link
+        is a dead hop (PLR 1, zero goodput). A routing block the tree
+        builder rejects (disconnected components, self-loops, a bad sink)
+        is a client error, surfaced as :class:`~repro.errors.ProtocolError`.
         """
         # Deferred: the routing package sits above the fleet layer, which
         # itself imports this module's sibling (serve.protocol) — a
         # module-level import here would close that cycle.
-        from ..routing.compose import compose_paths
+        from ..routing.engine import routed_paths
         from ..routing.table import build_routes
 
         try:
-            table = build_routes(
-                n_nodes=spec.n_nodes,
-                edges=spec.edges,
-                sink=spec.sink,
-                strategy=spec.strategy,
-            )
+            table = build_routes(spec.n_nodes, spec.edges, spec.sink, spec.strategy)
         except RoutingError as exc:
             raise ProtocolError(f"bad routing block: {exc}") from exc
-        energy = np.array(
-            [e.u_eng_uj_per_bit if e is not None else 0.0 for e in evaluations]
-        )
-        delay = np.array(
-            [e.delay_ms if e is not None else 0.0 for e in evaluations]
-        )
-        plr = np.array(
-            [e.plr_total if e is not None else 1.0 for e in evaluations]
-        )
-        goodput = np.array(
-            [e.max_goodput_kbps if e is not None else 0.0 for e in evaluations]
-        )
-        paths = compose_paths(
+        # An infeasible link is evaluated at the default configuration and
+        # masked out; the fitted models are the policy tables' defaults.
+        configs, snr_db = zip(*(
+            (e.config, e.snr_db) if e is not None else (StackConfig(), 0.0)
+            for e in evaluations
+        ))
+        inputs = {
+            knob: np.array([getattr(config, knob) for config in configs])
+            for knob in KNOB_COLUMNS
+        }
+        paths, _, _ = routed_paths(
             table,
-            energy_uj_per_bit=energy,
-            delay_ms=delay,
-            plr_total=plr,
-            goodput_kbps=goodput,
+            ModelEvaluator(snr_by_level=snr_map_from_reference(0.0)),
+            dict(inputs, snr_db=np.array(snr_db)),
+            np.array([e is not None for e in evaluations]),
         )
         leaves = paths.leaf_nodes
         feasible = paths.leaf_feasible(spec.max_path_loss)

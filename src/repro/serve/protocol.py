@@ -173,6 +173,13 @@ class RecommendRequest:
         check_objectives(self.objective, self.constraints, ProtocolError)
 
 
+def _is_node_id(value: object) -> bool:
+    """A routing node id: an integer (not a bool) in 0..MAX_FLEET_LINKS."""
+    return isinstance(value, int) and not isinstance(value, bool) and (
+        0 <= value <= MAX_FLEET_LINKS
+    )
+
+
 @dataclass(frozen=True)
 class RoutingSpec:
     """How a fleet batch's links connect into a multi-hop deployment.
@@ -182,7 +189,8 @@ class RoutingSpec:
     the oracle builds the collection tree, composes every leaf→sink path
     from the per-link recommendations, and reports path-level
     feasibility against ``max_path_loss`` (``None`` just reports the
-    composed losses).
+    composed losses). Node ids and ``sink`` lie in ``0..MAX_FLEET_LINKS``,
+    all the ids that many edges can need: the tree builder allocates per id.
     """
 
     edges: Tuple[Tuple[int, int], ...]
@@ -200,23 +208,22 @@ class RoutingSpec:
                     f"routing edge {index} must be a [node, node] pair, "
                     f"got {edge!r}"
                 )
-            for node in edge:
-                if isinstance(node, bool) or not isinstance(node, int):
-                    raise ProtocolError(
-                        f"routing edge {index} endpoints must be integers, "
-                        f"got {edge!r}"
-                    )
-                if node < 0:
-                    raise ProtocolError(
-                        f"routing edge {index} endpoint {node} is negative"
-                    )
+            if not all(_is_node_id(node) for node in edge):
+                raise ProtocolError(
+                    f"routing edge {index} endpoints must be integers "
+                    f"in 0..{MAX_FLEET_LINKS}, got {edge!r}",
+                    field="edges",
+                )
         if self.strategy not in FLEET_ROUTING_STRATEGIES:
             raise ProtocolError(
                 f"unknown routing strategy {self.strategy!r}; "
                 f"valid: {list(FLEET_ROUTING_STRATEGIES)}"
             )
-        if self.sink is not None and self.sink < 0:
-            raise ProtocolError(f"sink must be >= 0, got {self.sink!r}")
+        if self.sink is not None and not _is_node_id(self.sink):
+            raise ProtocolError(
+                f"sink {self.sink!r} is not a node id in 0..{MAX_FLEET_LINKS}",
+                field="sink",
+            )
         if self.max_path_loss is not None and not (
             0.0 < self.max_path_loss < 1.0
         ):
@@ -428,11 +435,6 @@ def parse_routing(data: object) -> RoutingSpec:
                 f"got {edge!r}"
             )
         parsed_edges.append(tuple(edge))
-    sink = mapping.get("sink")
-    if sink is not None and (
-        isinstance(sink, bool) or not isinstance(sink, int)
-    ):
-        raise ProtocolError(f"sink must be an integer, got {sink!r}")
     strategy = mapping.get("strategy", "tree")
     if not isinstance(strategy, str):
         raise ProtocolError(f"strategy must be a string, got {strategy!r}")
@@ -443,7 +445,7 @@ def parse_routing(data: object) -> RoutingSpec:
         )
     return RoutingSpec(
         edges=tuple(parsed_edges),
-        sink=sink,
+        sink=mapping.get("sink"),
         strategy=strategy,
         max_path_loss=_parse_number(mapping, "max_path_loss"),
         include_paths=include_paths,

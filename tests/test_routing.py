@@ -32,6 +32,7 @@ from repro.routing import (
     routes_for_topology,
     select_sink,
 )
+from repro.routing import engine as routed_engine
 
 TINY_GRID = TuningGrid(
     ptx_levels=(3, 15, 31),
@@ -512,14 +513,13 @@ class TestRoutedEngine:
         engine = self.routed(routes_for_topology(topology), path_loss_eps=0.5)
         inner = engine.engine
         captured = []
-        edge_metrics = engine._edge_metrics
+        evaluate = routed_engine.evaluate_metric_planes
 
-        def capture(state, config_index):
-            metrics, inputs = edge_metrics(state, config_index)
-            captured.append(metrics)
-            return metrics, inputs
+        def capture(evaluator, **inputs):
+            captured.append(evaluate(evaluator, **inputs))
+            return captured[-1]
 
-        monkeypatch.setattr(engine, "_edge_metrics", capture)
+        monkeypatch.setattr(routed_engine, "evaluate_metric_planes", capture)
         rng = np.random.default_rng(5)
         base_snr_db = rng.uniform(0.0, 30.0, len(topology))
         state = snr_state(base_snr_db)
