@@ -3,12 +3,13 @@
 Not a paper figure: this measures the multi-hop layer (`repro.routing`).
 Two kernels are timed at network scale on jittered-lattice deployments:
 
-* ``compose_paths`` — the segmented level-sweep that folds every uplink
-  edge's metrics into end-to-end leaf→sink path metrics (energy/delay
-  sums, delivery product, goodput min) in O(max_depth) numpy passes;
+* ``compose_paths`` — the segmented level-sweep that folds every node's
+  hop metrics (one row per node's uplink) into end-to-end leaf→sink path
+  metrics (energy/delay sums, delivery product, goodput min) in
+  O(max_depth) numpy passes;
 * ``RoutedFleetEngine.step`` — the full routed recommendation: policy
   gather for every uplink, one leaf-to-root relay-load sweep through the
-  queueing model, congested re-composition, and per-path feasibility.
+  queueing model, path composition, and per-path feasibility.
 
 Claims enforced every run:
 
@@ -91,13 +92,14 @@ def make_network(n_nodes: int, seed: int = 0):
     return topology, table, state
 
 
-def random_edge_metrics(n_edges: int, seed: int = 0):
+def random_hop_metrics(n_nodes: int, seed: int = 0):
+    """Per-node hop columns: row i is node i's uplink."""
     rng = np.random.default_rng(seed)
     return {
-        "energy_uj_per_bit": rng.uniform(0.05, 2.0, n_edges),
-        "delay_ms": rng.uniform(1.0, 80.0, n_edges),
-        "plr_total": rng.uniform(0.0, 0.4, n_edges),
-        "goodput_kbps": rng.uniform(5.0, 120.0, n_edges),
+        "energy_uj_per_bit": rng.uniform(0.05, 2.0, n_nodes),
+        "delay_ms": rng.uniform(1.0, 80.0, n_nodes),
+        "plr_total": rng.uniform(0.0, 0.4, n_nodes),
+        "goodput_kbps": rng.uniform(5.0, 120.0, n_nodes),
     }
 
 
@@ -110,12 +112,10 @@ def test_compose_throughput(benchmark, report):
     per_size = {}
     per_size_spread = {}
     tables = {}
-    n_edges_by_size = {}
     for n_nodes in NODE_SIZES:
-        topology, table, _ = make_network(n_nodes, seed=0)
+        _, table, _ = make_network(n_nodes, seed=0)
         tables[n_nodes] = table
-        n_edges_by_size[n_nodes] = len(topology)
-        metrics = random_edge_metrics(len(topology), seed=0)
+        metrics = random_hop_metrics(table.n_nodes, seed=0)
         compose_paths(table, **metrics)  # warmup / first-touch
         timings = []
         for _ in range(ROUNDS):
@@ -127,7 +127,7 @@ def test_compose_throughput(benchmark, report):
 
     small = min(NODE_SIZES)
     small_table = tables[small]
-    small_metrics = random_edge_metrics(n_edges_by_size[small], seed=1)
+    small_metrics = random_hop_metrics(small_table.n_nodes, seed=1)
     benchmark.pedantic(
         lambda: compose_paths(small_table, **small_metrics),
         rounds=ROUNDS,

@@ -12,7 +12,7 @@ leaf→sink path:
 
 :func:`compose_paths` computes all four for *every* in-tree node in one
 hop-level sweep: nodes at depth *d* gather their parent's cumulative
-columns and their own uplink's per-edge metrics in a handful of fancy
+columns and their own per-node hop metrics in a handful of fancy
 gathers, so the whole fleet costs ``O(max_depth)`` numpy passes rather
 than one Python walk per path. :func:`compose_paths_scalar` is the
 deliberately naive per-hop reference walk the kernels are pinned against
@@ -105,19 +105,6 @@ class PathMetrics:
         }
 
 
-def _uplink_columns(
-    table: RoutingTable, column: np.ndarray, n_edges: int
-) -> np.ndarray:
-    """Validate one per-edge metric column against the table's edges."""
-    values = np.asarray(column, dtype=float)
-    if values.ndim != 1 or values.shape[0] != n_edges:
-        raise RoutingError(
-            f"per-edge metric columns must be 1-D of length {n_edges}, "
-            f"got shape {values.shape}"
-        )
-    return values
-
-
 def compose_paths(
     table: RoutingTable,
     *,
@@ -126,27 +113,26 @@ def compose_paths(
     plr_total: np.ndarray,
     goodput_kbps: np.ndarray,
 ) -> PathMetrics:
-    """Compose per-edge metrics into per-node path metrics, vectorized.
+    """Compose per-node hop metrics into per-node path metrics, vectorized.
 
-    Inputs are per-*edge* columns aligned with the topology edge order
-    the table was built from (only tree uplink edges are read). One
-    segmented sweep per hop level: every node at depth *d* extends its
-    parent's cumulative row by its own uplink metrics with four fancy
-    gathers — no per-path Python.
+    Inputs are per-node hop columns of length ``n_nodes``: row *i*
+    describes node *i*'s uplink (the sink and excluded rows are never
+    read). One segmented sweep per hop level: every node at depth *d*
+    extends its parent's cumulative row by its own hop metrics with four
+    fancy gathers — no per-path Python.
     """
-    n_edges = int(np.shape(energy_uj_per_bit)[0])
-    energy = _uplink_columns(table, energy_uj_per_bit, n_edges)
-    delay = _uplink_columns(table, delay_ms, n_edges)
-    plr = _uplink_columns(table, plr_total, n_edges)
-    goodput = _uplink_columns(table, goodput_kbps, n_edges)
-    max_edge = int(table.parent_edge.max(initial=-1))
-    if max_edge >= n_edges:
-        raise RoutingError(
-            f"routing table references edge {max_edge} but only "
-            f"{n_edges} per-edge metric rows were given"
-        )
-
     n_nodes = table.n_nodes
+    columns = [
+        np.asarray(column, dtype=float)
+        for column in (energy_uj_per_bit, delay_ms, plr_total, goodput_kbps)
+    ]
+    if any(column.shape != (n_nodes,) for column in columns):
+        raise RoutingError(
+            f"per-node hop columns must be 1-D of length {n_nodes}, got "
+            f"shapes {[column.shape for column in columns]}"
+        )
+    energy, delay, plr, goodput = columns
+
     path_energy = np.full(n_nodes, np.nan)
     path_delay = np.full(n_nodes, np.nan)
     path_delivery = np.full(n_nodes, np.nan)
@@ -161,13 +147,10 @@ def compose_paths(
     for level in range(1, starts.shape[0] - 1):
         nodes = ordered[starts[level] : starts[level + 1]]
         parents = table.parent[nodes]
-        uplinks = table.parent_edge[nodes]
-        path_energy[nodes] = path_energy[parents] + energy[uplinks]
-        path_delay[nodes] = path_delay[parents] + delay[uplinks]
-        path_delivery[nodes] = path_delivery[parents] * (1.0 - plr[uplinks])
-        path_goodput[nodes] = np.minimum(
-            path_goodput[parents], goodput[uplinks]
-        )
+        path_energy[nodes] = path_energy[parents] + energy[nodes]
+        path_delay[nodes] = path_delay[parents] + delay[nodes]
+        path_delivery[nodes] = path_delivery[parents] * (1.0 - plr[nodes])
+        path_goodput[nodes] = np.minimum(path_goodput[parents], goodput[nodes])
 
     return PathMetrics(
         energy_uj_per_bit=path_energy,
@@ -209,17 +192,17 @@ def compose_paths_scalar(
         chain = []
         cursor = node
         while cursor != table.sink:
-            chain.append(int(table.parent_edge[cursor]))
+            chain.append(cursor)
             cursor = int(table.parent[cursor])
         total_energy = 0.0
         total_delay = 0.0
         total_delivery = 1.0
         bottleneck = float("inf")
-        for edge_index in reversed(chain):
-            total_energy += float(energy[edge_index])
-            total_delay += float(delay[edge_index])
-            total_delivery *= 1.0 - float(plr[edge_index])
-            bottleneck = min(bottleneck, float(goodput[edge_index]))
+        for hop in reversed(chain):
+            total_energy += float(energy[hop])
+            total_delay += float(delay[hop])
+            total_delivery *= 1.0 - float(plr[hop])
+            bottleneck = min(bottleneck, float(goodput[hop]))
         path_energy[node] = total_energy
         path_delay[node] = total_delay
         path_delivery[node] = total_delivery

@@ -11,13 +11,14 @@ optimizers do:
    and becomes one extra epsilon-constraint on the inner
    :class:`~repro.fleet.engine.FleetEngine`, so the per-link candidate
    solve keeps its policy-table O(1) fast path untouched;
-2. the chosen per-link configurations are evaluated into per-edge
-   metric columns in one vectorized plane call;
+2. the chosen configurations of the tree uplinks (only those) are
+   evaluated in one vectorized plane call into per-node hop columns —
+   row *i* is node *i*'s uplink, the one layout of steps 2–4;
 3. relay congestion is solved in one leaf-to-root sweep
    (:func:`~repro.routing.congestion.iterate_relay_load`): each relay
    queues its own traffic plus what its children deliver, inflating the
    queueing delay and blocking loss of loaded relays;
-4. the congestion-adjusted columns are composed into per-path metrics
+4. the congestion-adjusted hop columns are composed into per-path metrics
    (:func:`~repro.routing.compose.compose_paths`) and checked against the
    end-to-end budget — per-path feasibility lands in the step's
    :class:`~repro.fleet.engine.FleetStepReport`.
@@ -80,58 +81,52 @@ def routed_paths(
     evaluator: ModelEvaluator,
     inputs: Dict[str, np.ndarray],
     link_up: np.ndarray,
-    congestion: bool = True,
-) -> Tuple[PathMetrics, Optional[RelayLoadResult], np.ndarray]:
+) -> Tuple[PathMetrics, RelayLoadResult, np.ndarray]:
     """Path metrics of per-link answers over a routing tree (steps 2–4).
 
-    ``inputs`` are the per-edge keyword arguments of
+    ``inputs`` are the per-link keyword arguments of
     ``evaluate_metric_planes`` — each link's chosen knobs and its SNR at
     that configuration's PA level — and ``link_up`` marks the links that
-    have a configuration. The edges are evaluated in one plane call, the
-    relay loads swept leaf to root (skipped when ``congestion`` is
-    False), down links masked, and the paths composed. Returns the
-    paths, the relay loads (None without congestion) and the per-edge
-    energy column (0 on down links).
+    have a configuration. Both are gathered once at the tree uplinks
+    (``table.parent_edge[table.uplink_nodes]``), which are evaluated in
+    one plane call and laid out as per-node hop rows: row *i* describes
+    node *i*'s uplink. The relay loads are swept leaf to root, down hops
+    masked, and the paths composed. Returns the paths, the relay loads
+    and the per-node hop energy column (0 on down hops and on the sink
+    and excluded rows).
     """
-    metrics = evaluate_metric_planes(evaluator, **inputs)
-    delay_edge = np.asarray(metrics["delay_ms"], dtype=float)
-    plr_edge = np.asarray(metrics["plr_total"], dtype=float)
-    load: Optional[RelayLoadResult] = None
-    if congestion:
-        # Each tree uplink edge belongs to one node.
-        nodes = table.uplink_nodes
-        uplinks = table.parent_edge[nodes]
+    nodes = table.uplink_nodes
+    uplinks = table.parent_edge[nodes]
+    hop_inputs = {name: column[uplinks] for name, column in inputs.items()}
+    metrics = evaluate_metric_planes(evaluator, **hop_inputs)
+    up = link_up[uplinks]
 
-        def by_node(edge_column: np.ndarray, fill) -> np.ndarray:
-            """One per-edge column scattered onto per-node uplink rows."""
-            column = np.full(table.n_nodes, fill)
-            column[nodes] = edge_column[uplinks]
-            return column
+    def by_node(column: np.ndarray, fill) -> np.ndarray:
+        """One uplink column laid out on per-node hop rows."""
+        hop = np.full(table.n_nodes, fill)
+        hop[nodes] = column
+        return hop
 
-        load = iterate_relay_load(
-            table,
-            service_delay_s=by_node(metrics["t_service_ms"] / 1e3, 0.0),
-            service_scv=evaluator.delay_model.service_scv,
-            q_max=by_node(inputs["q_max"], 1.0),
-            t_pkt_ms=by_node(inputs["t_pkt_ms"], 1.0),
-            plr_radio=by_node(metrics["plr_radio"], 0.0),
-            link_up=by_node(link_up, False),
-        )
-        delay_edge = delay_edge.copy()
-        plr_edge = plr_edge.copy()
-        delay_edge[uplinks] = load.metrics["delay_ms"][nodes]
-        plr_edge[uplinks] = load.metrics["plr_total"][nodes]
-
-    # A down link loses everything and spends nothing.
-    energy_edge = np.where(link_up, metrics["u_eng_uj_per_bit"], 0.0)
+    hop_up = by_node(up, False)
+    load = iterate_relay_load(
+        table,
+        service_delay_s=by_node(metrics["t_service_ms"] / 1e3, 0.0),
+        service_scv=evaluator.delay_model.service_scv,
+        q_max=by_node(hop_inputs["q_max"], 1.0),
+        t_pkt_ms=by_node(hop_inputs["t_pkt_ms"], 1.0),
+        plr_radio=by_node(metrics["plr_radio"], 0.0),
+        link_up=hop_up,
+    )
+    # A down hop loses everything and spends nothing.
+    energy = by_node(np.where(up, metrics["u_eng_uj_per_bit"], 0.0), 0.0)
     paths = compose_paths(
         table,
-        energy_uj_per_bit=energy_edge,
-        delay_ms=np.where(link_up, delay_edge, 0.0),
-        plr_total=np.where(link_up, plr_edge, 1.0),
-        goodput_kbps=np.where(link_up, metrics["max_goodput_kbps"], 0.0),
+        energy_uj_per_bit=energy,
+        delay_ms=np.where(hop_up, load.metrics["delay_ms"], 0.0),
+        plr_total=np.where(hop_up, load.metrics["plr_total"], 1.0),
+        goodput_kbps=by_node(np.where(up, metrics["max_goodput_kbps"], 0.0), 0.0),
     )
-    return paths, load, energy_edge
+    return paths, load, energy
 
 
 class RoutedFleetEngine:
@@ -140,7 +135,7 @@ class RoutedFleetEngine:
     Wraps an inner :class:`~repro.fleet.engine.FleetEngine` built with
     the hop-budget loss constraint folded in (so its policy table is
     compiled once for the routed constraint set and every step stays
-    gather-only), then runs congestion + composition over the routing
+    gather-only), then runs the relay sweep + composition over the routing
     table each step. Drop-in for the runner: :meth:`step` has the fleet
     engine's signature and returns its report type, extended with the
     path-level columns.
@@ -154,14 +149,12 @@ class RoutedFleetEngine:
         objective: str = "energy",
         constraints: Sequence[Constraint] = (),
         path_loss_eps: Optional[float] = None,
-        congestion: bool = True,
         **engine_kwargs,
     ) -> None:
         self.table = table
         self.path_loss_eps = (
             float(path_loss_eps) if path_loss_eps is not None else None
         )
-        self.congestion = bool(congestion)
         #: The per-link PLR constraint derived from ``path_loss_eps``.
         self.per_hop_loss_bound: Optional[float] = None
         routed_constraints = tuple(constraints)
@@ -181,7 +174,7 @@ class RoutedFleetEngine:
         )
         #: Path metrics of the most recent step (None before the first).
         self.last_paths: Optional[PathMetrics] = None
-        #: Relay loads of the most recent step (None without congestion).
+        #: Relay loads of the most recent step (None before the first).
         self.last_load: Optional[RelayLoadResult] = None
 
     def __len__(self) -> int:
@@ -192,7 +185,6 @@ class RoutedFleetEngine:
         info = self.table.stats()
         info["path_loss_eps"] = self.path_loss_eps
         info["per_hop_loss_bound"] = self.per_hop_loss_bound
-        info["congestion"] = self.congestion
         return info
 
     # -------------------------------------------------------------- step
@@ -203,8 +195,8 @@ class RoutedFleetEngine:
         Returns the inner engine's report extended with the path columns:
         ``n_paths`` / ``n_paths_feasible`` count leaf→sink paths against
         ``path_loss_eps`` (a path through an unconfigured link never
-        passes), ``relay_iterations`` is 1 when the relay sweep ran and 0
-        when it did not (``relay_converged`` is always True), and
+        passes), ``relay_iterations`` is always 1 (the one relay sweep;
+        ``relay_converged`` is always True), and
         ``network_energy_uj_per_bit`` is the routed objective — the sum
         of every active uplink's per-bit energy.
         """
@@ -224,13 +216,11 @@ class RoutedFleetEngine:
             np.where(link_up, report.config_index, 0),
             quantize_snr_db(state.snr_db, engine.snr_quantum_db),
         )
-        paths, load, energy_edge = routed_paths(
-            table, engine.evaluator, inputs, link_up, self.congestion
+        paths, load, energy = routed_paths(
+            table, engine.evaluator, inputs, link_up
         )
         feasible = paths.leaf_feasible(self.path_loss_eps)
-        network_energy = float(
-            energy_edge[table.parent_edge[table.uplink_nodes]].sum()
-        )
+        network_energy = float(energy[table.uplink_nodes].sum())
 
         self.last_paths = paths
         self.last_load = load
@@ -238,6 +228,6 @@ class RoutedFleetEngine:
             report,
             n_paths=paths.n_paths,
             n_paths_feasible=int(np.count_nonzero(feasible)),
-            relay_iterations=int(load is not None),
+            relay_iterations=1,
             network_energy_uj_per_bit=network_energy,
         )

@@ -74,6 +74,7 @@ from .protocol import (
     LinkSpec,
     RecommendRequest,
     RoutingSpec,
+    json_safe,
     link_base_snr_db,
 )
 
@@ -129,7 +130,11 @@ class FleetRoutingSummary:
     paths: Optional[Tuple[Dict[str, object], ...]] = None
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready view (the fleet response's ``routing`` object)."""
+        """JSON-ready view (the fleet response's ``routing`` object).
+
+        A non-finite path metric is written as None, JSON ``null``.
+        """
+        stats = self.path_stats
         summary: Dict[str, object] = {
             "sink": self.sink,
             "strategy": self.strategy,
@@ -137,10 +142,13 @@ class FleetRoutingSummary:
             "n_paths": self.n_paths,
             "n_paths_feasible": self.n_paths_feasible,
             "max_path_loss": self.max_path_loss,
-            "path_stats": dict(self.path_stats),
+            "path_stats": {k: json_safe(v) for k, v in stats.items()},
         }
         if self.paths is not None:
-            summary["paths"] = [dict(path) for path in self.paths]
+            summary["paths"] = [
+                {k: json_safe(v) for k, v in path.items()}
+                for path in self.paths
+            ]
         return summary
 
 

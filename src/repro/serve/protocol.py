@@ -42,6 +42,7 @@ __all__ = [
     "RoutingSpec",
     "TelemetryRequest",
     "evaluation_as_dict",
+    "json_safe",
     "link_base_snr_db",
     "parse_link",
     "parse_recommend",
@@ -530,16 +531,26 @@ def parse_telemetry(data: object) -> TelemetryRequest:
     )
 
 
+def json_safe(value: object) -> object:
+    """``value`` as RFC 8259 JSON allows it: a non-finite float is None.
+
+    JSON has no ``Infinity`` or ``NaN``; ``null`` stands for "not finite".
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def evaluation_as_dict(evaluation: ConfigEvaluation) -> Dict[str, object]:
     """JSON-ready view of one model evaluation (config + all metrics)."""
     return {
         "config": evaluation.config.as_dict(),
-        "snr_db": evaluation.snr_db,
-        "max_goodput_kbps": evaluation.max_goodput_kbps,
-        "u_eng_uj_per_bit": evaluation.u_eng_uj_per_bit,
-        "delay_ms": evaluation.delay_ms,
-        "rho": evaluation.rho,
-        "plr_radio": evaluation.plr_radio,
-        "plr_queue": evaluation.plr_queue,
-        "plr_total": evaluation.plr_total,
+        "snr_db": json_safe(evaluation.snr_db),
+        "max_goodput_kbps": json_safe(evaluation.max_goodput_kbps),
+        "u_eng_uj_per_bit": json_safe(evaluation.u_eng_uj_per_bit),
+        "delay_ms": json_safe(evaluation.delay_ms),
+        "rho": json_safe(evaluation.rho),
+        "plr_radio": json_safe(evaluation.plr_radio),
+        "plr_queue": json_safe(evaluation.plr_queue),
+        "plr_total": json_safe(evaluation.plr_total),
     }

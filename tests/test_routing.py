@@ -60,13 +60,14 @@ def snr_state(snr_values):
     )
 
 
-def random_edge_metrics(n_edges, seed=0):
+def random_hop_metrics(n_nodes, seed=0):
+    """Per-node hop columns: row i is node i's uplink."""
     rng = np.random.default_rng(seed)
     return {
-        "energy_uj_per_bit": rng.uniform(0.05, 2.0, n_edges),
-        "delay_ms": rng.uniform(1.0, 80.0, n_edges),
-        "plr_total": rng.uniform(0.0, 0.4, n_edges),
-        "goodput_kbps": rng.uniform(5.0, 120.0, n_edges),
+        "energy_uj_per_bit": rng.uniform(0.05, 2.0, n_nodes),
+        "delay_ms": rng.uniform(1.0, 80.0, n_nodes),
+        "plr_total": rng.uniform(0.0, 0.4, n_nodes),
+        "goodput_kbps": rng.uniform(5.0, 120.0, n_nodes),
     }
 
 
@@ -147,7 +148,7 @@ class TestComposition:
     def test_vectorized_matches_scalar_within_1e9(self, seed, strategy):
         topology = grid_topology(200, seed=seed)
         table = routes_for_topology(topology, strategy=strategy)
-        metrics = random_edge_metrics(len(topology), seed=seed)
+        metrics = random_hop_metrics(table.n_nodes, seed=seed)
         fast = compose_paths(table, **metrics)
         slow = compose_paths_scalar(table, **metrics)
         for name in (
@@ -163,14 +164,15 @@ class TestComposition:
             assert np.abs(got[finite] - want[finite]).max() <= 1e-9
 
     def test_semantics_on_known_chain(self):
-        # 0 <- 1 <- 2: sums, product, min are hand-checkable.
+        # 0 <- 1 <- 2: sums, product, min are hand-checkable. Row 0 is
+        # the sink's, which has no uplink and is never read.
         table = build_routes(3, ((0, 1), (1, 2)), sink=0)
         paths = compose_paths(
             table,
-            energy_uj_per_bit=np.array([1.0, 2.0]),
-            delay_ms=np.array([10.0, 20.0]),
-            plr_total=np.array([0.1, 0.2]),
-            goodput_kbps=np.array([50.0, 30.0]),
+            energy_uj_per_bit=np.array([0.0, 1.0, 2.0]),
+            delay_ms=np.array([0.0, 10.0, 20.0]),
+            plr_total=np.array([0.0, 0.1, 0.2]),
+            goodput_kbps=np.array([0.0, 50.0, 30.0]),
         )
         assert paths.energy_uj_per_bit[2] == pytest.approx(3.0)
         assert paths.delay_ms[2] == pytest.approx(30.0)
@@ -183,10 +185,10 @@ class TestComposition:
         table = build_routes(3, ((0, 1), (1, 2)), sink=0)
         paths = compose_paths(
             table,
-            energy_uj_per_bit=np.zeros(2),
-            delay_ms=np.zeros(2),
-            plr_total=np.array([0.1, 0.2]),
-            goodput_kbps=np.ones(2),
+            energy_uj_per_bit=np.zeros(3),
+            delay_ms=np.zeros(3),
+            plr_total=np.array([0.0, 0.1, 0.2]),
+            goodput_kbps=np.ones(3),
         )
         # Path loss = 1 - 0.9*0.8 = 0.28.
         assert paths.leaf_feasible(0.30).tolist() == [True]
@@ -195,7 +197,7 @@ class TestComposition:
 
     def test_wrong_column_length_raises(self):
         table = three_level_table()
-        with pytest.raises(RoutingError, match="per-edge"):
+        with pytest.raises(RoutingError, match="per-node"):
             compose_paths(
                 table,
                 energy_uj_per_bit=np.zeros(3),
@@ -427,17 +429,38 @@ class TestRoutedEngine:
         return RoutedFleetEngine(table, **kwargs)
 
     def test_congestion_degrades_constrained_paths(self):
-        # The same fleet solved with and without relay congestion: the
+        # The engine's paths against the same answers composed without
+        # relay congestion (each hop at its own sampling rate): the
         # congested paths must lose strictly more (relays queue at the
         # aggregated arrival rate, inflating blocking loss).
         topology = grid_topology(60, seed=4)
         table = routes_for_topology(topology)
-        with_congestion = self.routed(table, congestion=True)
-        without = self.routed(table, congestion=False)
-        with_congestion.step(snr_state(np.full(len(topology), 8.0)))
-        without.step(snr_state(np.full(len(topology), 8.0)))
-        congested = with_congestion.last_paths
-        free = without.last_paths
+        engine = self.routed(table)
+        state = snr_state(np.full(len(topology), 8.0))
+        config_index = engine.step(state).config_index
+        inner = engine.engine
+        metrics = evaluate_metric_planes(
+            inner.evaluator,
+            **inner.metric_inputs(
+                np.where(config_index >= 0, config_index, 0),
+                quantize_snr_db(state.snr_db, inner.snr_quantum_db),
+            ),
+        )
+        hops = table.uplink_nodes
+        uplinks = table.parent_edge[hops]
+        up = config_index[uplinks] >= 0
+        free_columns = {}
+        for name, metric, down in (
+            ("energy_uj_per_bit", "u_eng_uj_per_bit", 0.0),
+            ("delay_ms", "delay_ms", 0.0),
+            ("plr_total", "plr_total", 1.0),
+            ("goodput_kbps", "max_goodput_kbps", 0.0),
+        ):
+            column = np.zeros(table.n_nodes)
+            column[hops] = np.where(up, metrics[metric][uplinks], down)
+            free_columns[name] = column
+        congested = engine.last_paths
+        free = compose_paths(table, **free_columns)
         leaves = table.leaf_nodes
         assert (
             congested.loss_prob[leaves] >= free.loss_prob[leaves] - 1e-12
@@ -507,10 +530,13 @@ class TestRoutedEngine:
     def test_edge_metrics_are_the_full_planes_at_the_chosen_configs(
         self, monkeypatch
     ):
-        # Rows the hysteresis check already evaluated are reused; each
-        # step must still equal one plane evaluation of every link.
+        # Each step makes one plane call over the tree uplinks only, and
+        # it must equal a plane evaluation of every link at those rows.
         topology = grid_topology(60, seed=4)
-        engine = self.routed(routes_for_topology(topology), path_loss_eps=0.5)
+        table = routes_for_topology(topology)
+        uplinks = table.parent_edge[table.uplink_nodes]
+        assert uplinks.size < len(topology)
+        engine = self.routed(table, path_loss_eps=0.5)
         inner = engine.engine
         captured = []
         evaluate = routed_engine.evaluate_metric_planes
@@ -538,10 +564,12 @@ class TestRoutedEngine:
                     quantize_snr_db(snr_db, inner.snr_quantum_db),
                 ),
             )
-            got = captured.pop()
+            (got,) = captured
+            captured.clear()
             assert got.keys() == want.keys()
             for name, column in want.items():
-                np.testing.assert_array_equal(got[name], column)
+                assert got[name].shape == uplinks.shape
+                np.testing.assert_array_equal(got[name], column[uplinks])
             seen["adopted"] += np.sum((before >= 0) & (after >= 0) & (after != before))
             seen["configured"] += np.sum((before < 0) & (after >= 0))
             seen["infeasible"] += np.sum((before >= 0) & (after < 0))
@@ -550,7 +578,7 @@ class TestRoutedEngine:
 
     def test_infeasible_link_kills_its_paths(self):
         table = three_level_table()
-        engine = self.routed(table, congestion=False, path_loss_eps=0.2)
+        engine = self.routed(table, path_loss_eps=0.2)
         snr = np.full(6, 25.0)
         snr[0] = -40.0  # edge 0 = the 0-1 uplink every path crosses
         report = engine.step(snr_state(snr))
@@ -572,7 +600,7 @@ class TestRoutedEngine:
 
     def test_network_energy_is_uplink_sum(self):
         table = three_level_table()
-        engine = self.routed(table, congestion=False)
+        engine = self.routed(table)
         report = engine.step(snr_state(np.full(6, 20.0)))
         per_edge = engine.last_paths  # composition ran; recompute by hand
         nodes = table.uplink_nodes
@@ -589,7 +617,6 @@ class TestRoutedEngine:
         info = engine.routing_info()
         assert info["sink"] == 0
         assert info["path_loss_eps"] == 0.2
-        assert info["congestion"] is True
         assert info["n_paths"] == 4
 
 

@@ -46,11 +46,20 @@ def either_server(request):
     yield from serving(policy=request.param)
 
 
+def strict_json(body):
+    """Decode a response body as RFC 8259 JSON: no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(body, parse_constant=reject)
+
+
 def get(server, path):
     with urllib.request.urlopen(
         f"http://127.0.0.1:{server.port}{path}", timeout=10
     ) as response:
-        return response.status, json.loads(response.read())
+        return response.status, strict_json(response.read())
 
 
 def post(server, path, payload):
@@ -64,9 +73,9 @@ def post(server, path, payload):
     )
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, json.loads(response.read())
+            return response.status, strict_json(response.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        return error.code, strict_json(error.read())
 
 
 class TestRecommend:
@@ -145,6 +154,52 @@ class TestEvaluate:
         )
         assert status == 400
         assert body["error"]["type"] == "ProtocolError"
+
+
+#: A link too weak to deliver anything: its per-bit energy is infinite.
+WEAK_LINK = {"snr_db": -40.0}
+
+
+class TestNonFiniteMetrics:
+    """Non-finite metrics go out as ``null``; every body stays JSON."""
+
+    def test_recommend(self, server):
+        status, body = post(server, "/v1/recommend", {"link": WEAK_LINK})
+        assert status == 200
+        recommendation = body["recommendation"]
+        assert recommendation["u_eng_uj_per_bit"] is None
+        assert recommendation["plr_total"] == 1.0
+
+    def test_evaluate(self, server):
+        status, body = post(
+            server,
+            "/v1/evaluate",
+            {"config": {"ptx_level": 31}, "link": WEAK_LINK},
+        )
+        assert status == 200
+        assert body["evaluation"]["u_eng_uj_per_bit"] is None
+        assert body["evaluation"]["snr_db"] == -40.0
+
+    def test_routed_fleet(self, server):
+        status, body = post(
+            server,
+            "/v1/fleet/recommend",
+            {
+                "links": [{"snr_db": 20.0}, WEAK_LINK],
+                "routing": {
+                    "edges": [[1, 0], [2, 1]],
+                    "sink": 0,
+                    "include_paths": True,
+                },
+            },
+        )
+        assert status == 200
+        weak = body["results"][1]["recommendation"]
+        assert weak["u_eng_uj_per_bit"] is None
+        (path,) = body["routing"]["paths"]
+        assert path["energy_uj_per_bit"] is None
+        assert path["loss_prob"] == 1.0
+        assert path["feasible"] is False
 
 
 class TestOperationalEndpoints:
