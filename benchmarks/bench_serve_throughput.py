@@ -20,6 +20,14 @@ the environment in ``BENCH_serve.json`` at the repo root, and fails if
 the p50 reaches 10 ms — a response held back by Nagle for the client's
 delayed ACK costs ~40 ms. Set ``BENCH_SERVE_QUICK=1`` (the CI smoke mode)
 for fewer requests and rounds.
+
+A fifth bench times single-bound recommends in process at the
+``wsnlink serve`` grid (4,560 configurations): a policy oracle's warm
+constraint-staircase answer against a warm table-tier (LRU) solve of
+the same request, per request (median, min, max over rounds, warm-up
+excluded), recorded under ``single_bound`` in ``BENCH_serve.json``.
+Both oracles must give the same answers, and the staircase must be the
+faster one.
 """
 
 import http.client
@@ -35,7 +43,10 @@ import numpy as np
 import pytest
 
 from repro.core.optimization import TuningGrid
+from repro.errors import InfeasibleError
 from repro.serve import (
+    TIER_LRU,
+    TIER_POLICY,
     Client,
     Oracle,
     OracleService,
@@ -60,6 +71,19 @@ HTTP_P50_CEILING_MS = 10.0
 #: Every fifth policy bin centre of the default -10..40 dB axis.
 HTTP_SNRS_DB = tuple(0.25 * k for k in range(-40, 161, 5))
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
+
+#: The ``wsnlink serve`` grid, for the single-bound bench.
+SERVE_GRID = TuningGrid(payload_values_bytes=tuple(range(2, 115, 2)))
+#: (objective, constraint, bound): the single-bound shapes ``perf/``'s
+#: http-mixed workload sends.
+SINGLE_BOUNDS = (
+    ("energy", "delay", 40.0),
+    ("goodput", "loss", 0.05),
+    ("delay", "energy", 0.5),
+)
+SINGLE_BOUND_ROUNDS = 3 if _QUICK else 7
+#: Passes over the request list per timed round.
+SINGLE_BOUND_PASSES = 2 if _QUICK else 20
 
 #: Cross-test scratch: the uncached per-request mean, filled by the
 #: baseline bench and read by the warm bench for the speedup assertion.
@@ -172,6 +196,97 @@ def _summary(values):
     }
 
 
+def _record(fields):
+    """Merge one bench's fields into ``BENCH_serve.json``."""
+    recorded = (
+        json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
+    )
+    recorded.update(fields)
+    RESULT_PATH.write_text(json.dumps(recorded, indent=2) + "\n")
+
+
+def test_single_bound_staircase_vs_table_solve(benchmark, report):
+    """Warm staircase answers against warm LRU-table solves, per request."""
+    requests = [
+        parse_recommend(
+            {
+                "link": {"snr_db": snr_db},
+                "objective": objective,
+                "constraints": [{"objective": constrained, "max": bound}],
+            }
+        )
+        for snr_db in HTTP_SNRS_DB
+        for objective, constrained, bound in SINGLE_BOUNDS
+    ]
+    staircase = Oracle(grid=SERVE_GRID, policy=True)
+    table = Oracle(grid=SERVE_GRID, lru_capacity=len(HTTP_SNRS_DB))
+
+    def answer(oracle, request):
+        try:
+            return oracle.recommend(request)
+        except InfeasibleError as exc:
+            return str(exc)
+
+    for request in requests:  # warm-up: builds tables and staircases
+        answer(staircase, request)
+        answer(table, request)
+    for request in requests:
+        warm, solved = answer(staircase, request), answer(table, request)
+        if isinstance(warm, str):
+            assert warm == solved
+        else:
+            assert warm.cache_tier == TIER_POLICY
+            assert solved.cache_tier == TIER_LRU
+            assert warm.evaluation == solved.evaluation
+
+    per_request_us = {"staircase": [], "table": []}
+
+    def run_round():
+        for name, oracle in (("staircase", staircase), ("table", table)):
+            started = time.perf_counter()
+            for _ in range(SINGLE_BOUND_PASSES):
+                for request in requests:
+                    answer(oracle, request)
+            elapsed_s = time.perf_counter() - started
+            per_request_us[name].append(
+                elapsed_s / (SINGLE_BOUND_PASSES * len(requests)) * 1e6
+            )
+
+    benchmark.pedantic(run_round, rounds=SINGLE_BOUND_ROUNDS, iterations=1)
+    rows = {name: _summary(values) for name, values in per_request_us.items()}
+    speedup = rows["table"]["median"] / rows["staircase"]["median"]
+    _record(
+        {
+            "single_bound": {
+                "path": "Oracle.recommend, one constraint bound, warm: "
+                "policy-tier staircase answer vs LRU-tier table solve",
+                "quick": _QUICK,
+                "grid_size": len(SERVE_GRID),
+                "requests_per_round": SINGLE_BOUND_PASSES * len(requests),
+                "rounds": SINGLE_BOUND_ROUNDS,
+                "staircase_us": rows["staircase"],
+                "table_solve_us": rows["table"],
+                "speedup_x": speedup,
+                "staircase_bytes_per_bin": staircase.policy_info()[
+                    "staircase_bytes"
+                ]
+                / len(HTTP_SNRS_DB),
+            }
+        }
+    )
+    report.header("Serve throughput: single-bound recommends, warm")
+    for name, row in rows.items():
+        report.emit(
+            f"{name:<10}: {row['median']:8.1f} us/request "
+            f"[min {row['min']:.1f} / max {row['max']:.1f}]"
+        )
+    report.shape_check(
+        f"staircase answer faster than the table solve ({speedup:.1f}x)",
+        speedup > 1.0,
+    )
+    assert speedup > 1.0
+
+
 def test_http_keep_alive_policy_recommends(http_serving, benchmark, report):
     """Client-timed round trips over one keep-alive connection."""
     bodies = [
@@ -219,30 +334,26 @@ def test_http_keep_alive_policy_recommends(http_serving, benchmark, report):
     p50 = _summary([r[0] for r in rounds])
     p99 = _summary([r[1] for r in rounds])
     rps = _summary([r[2] for r in rounds])
-    RESULT_PATH.write_text(
-        json.dumps(
-            {
-                "benchmark": "serve",
-                "quick": _QUICK,
-                "path": "POST /v1/recommend over one keep-alive HTTP/1.1 "
-                "connection, policy tier, timed at the client",
-                "grid_size": len(GRID),
-                "requests_per_round": HTTP_REQUESTS,
-                "warmup_requests": HTTP_WARMUP,
-                "rounds": HTTP_ROUNDS,
-                "p50_ceiling_ms": HTTP_P50_CEILING_MS,
-                "p50_ms": p50,
-                "p99_ms": p99,
-                "requests_per_second": rps,
-                "environment": {
-                    "cpu_count": os.cpu_count() or 1,
-                    "python": platform.python_version(),
-                    "numpy": np.__version__,
-                },
+    _record(
+        {
+            "benchmark": "serve",
+            "quick": _QUICK,
+            "path": "POST /v1/recommend over one keep-alive HTTP/1.1 "
+            "connection, policy tier, timed at the client",
+            "grid_size": len(GRID),
+            "requests_per_round": HTTP_REQUESTS,
+            "warmup_requests": HTTP_WARMUP,
+            "rounds": HTTP_ROUNDS,
+            "p50_ceiling_ms": HTTP_P50_CEILING_MS,
+            "p50_ms": p50,
+            "p99_ms": p99,
+            "requests_per_second": rps,
+            "environment": {
+                "cpu_count": os.cpu_count() or 1,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
             },
-            indent=2,
-        )
-        + "\n"
+        }
     )
     report.header("Serve throughput: HTTP keep-alive, policy tier")
     report.emit(

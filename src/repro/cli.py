@@ -20,6 +20,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -527,14 +528,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"{policy_note}{telemetry_note})",
         flush=True,
     )
+    # A background job of a non-interactive shell starts with SIGINT
+    # ignored, so Python's KeyboardInterrupt is not installed there: take
+    # both stop signals explicitly, onto the same clean-shutdown path.
+    previous = {
+        signum: signal.signal(signum, _raise_interrupt)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         print("interrupt received, shutting down", file=sys.stderr)
     finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         server.server_close()
         service.close()
     return 0
+
+
+def _raise_interrupt(signum: int, frame: object) -> None:
+    """Signal handler: stop ``wsnlink serve`` as Ctrl-C would."""
+    raise KeyboardInterrupt
 
 
 def _parse_constraint(text: str):

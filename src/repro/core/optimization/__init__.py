@@ -52,6 +52,8 @@ from .policy import (
     RowAnswers,
     level_offset_lut_db,
     quantize_snr_db,
+    snr_axis_bins,
+    snr_bins,
     solve_rows,
 )
 from .sensitivity import (
@@ -60,6 +62,7 @@ from .sensitivity import (
     dominant_parameter,
     rank_parameters,
 )
+from .staircase import STAIRCASE_PAIRS, ConstraintStaircases
 from .weighted import (
     solve_weighted_sum,
     sweep_weights,
@@ -82,8 +85,10 @@ __all__ = [
     "OBJECTIVE_PLANES",
     "REFERENCE_LEVEL",
     "RHO_QUEUE_CLIP",
+    "STAIRCASE_PAIRS",
     "ConfigEvaluation",
     "Constraint",
+    "ConstraintStaircases",
     "GridEvaluation",
     "ModelEvaluator",
     "PolicyTable",
@@ -95,6 +100,8 @@ __all__ = [
     "masked_argmin_rows",
     "objective_from_planes",
     "quantize_snr_db",
+    "snr_axis_bins",
+    "snr_bins",
     "solve_rows",
     "ParameterSensitivity",
     "TradeoffPoint",

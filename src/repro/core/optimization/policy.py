@@ -77,6 +77,8 @@ __all__ = [
     "RowAnswers",
     "level_offset_lut_db",
     "quantize_snr_db",
+    "snr_axis_bins",
+    "snr_bins",
     "solve_rows",
 ]
 
@@ -92,9 +94,34 @@ DEFAULT_SNR_QUANTUM_DB = 0.25
 DEFAULT_SNR_RANGE_DB: Tuple[float, float] = (-10.0, 40.0)
 
 
-def _snr_bins(snr_db, quantum_db: float) -> np.ndarray:
+def snr_bins(snr_db, quantum_db: float) -> np.ndarray:
     """The SNR quantizer: bin number ``round(snr / quantum)`` (as float)."""
     return np.round(np.asarray(snr_db, dtype=float) / quantum_db)
+
+
+def snr_axis_bins(
+    quantum_db: float,
+    snr_range_db: Tuple[float, float] = DEFAULT_SNR_RANGE_DB,
+) -> range:
+    """The bin numbers of the SNR axis a policy table compiles.
+
+    Bin ``k`` is centred on ``k * quantum_db``; the axis runs from the
+    bin of ``snr_range_db[0]`` to the bin of ``snr_range_db[1]``.
+    """
+    if quantum_db <= 0:
+        raise OptimizationError(
+            f"snr_quantum_db must be positive, got {quantum_db!r}"
+        )
+    low_db, high_db = (float(snr_range_db[0]), float(snr_range_db[1]))
+    if not low_db <= high_db:
+        raise OptimizationError(
+            f"snr_range_db must be (low, high) with low <= high, "
+            f"got {snr_range_db!r}"
+        )
+    low_bin, high_bin = (
+        int(snr_bins(edge_db, quantum_db)) for edge_db in (low_db, high_db)
+    )
+    return range(low_bin, high_bin + 1)
 
 
 def quantize_snr_db(snr_db, quantum_db: float) -> np.ndarray:
@@ -106,7 +133,7 @@ def quantize_snr_db(snr_db, quantum_db: float) -> np.ndarray:
     """
     if quantum_db == 0.0:
         return np.asarray(snr_db, dtype=float)
-    return _snr_bins(snr_db, quantum_db) * quantum_db
+    return snr_bins(snr_db, quantum_db) * quantum_db
 
 
 def level_offset_lut_db(
@@ -328,16 +355,7 @@ class PolicyTable:
         configuration).
         """
         check_objectives(objective, constraints)
-        if snr_quantum_db <= 0:
-            raise OptimizationError(
-                f"snr_quantum_db must be positive, got {snr_quantum_db!r}"
-            )
-        low_db, high_db = (float(snr_range_db[0]), float(snr_range_db[1]))
-        if not low_db <= high_db:
-            raise OptimizationError(
-                f"snr_range_db must be (low, high) with low <= high, "
-                f"got {snr_range_db!r}"
-            )
+        axis = snr_axis_bins(snr_quantum_db, snr_range_db)
         started = time.monotonic()
         quantum = float(snr_quantum_db)
         if evaluator is None:
@@ -345,12 +363,10 @@ class PolicyTable:
                 snr_by_level=snr_map_from_reference(0.0)
             )
         knobs = grid_knob_columns(grid)
-        bin_origin = int(_snr_bins(low_db, quantum))
-        n_bins = int(_snr_bins(high_db, quantum)) - bin_origin + 1
         # int64 bin * float quantum is the exact product quantize_snr_db
         # yields for in-bin SNRs, so centers match quantized queries
         # float-for-float.
-        centers_db = (bin_origin + np.arange(n_bins, dtype=np.int64)) * quantum
+        centers_db = np.arange(axis.start, axis.stop, dtype=np.int64) * quantum
         answers = solve_rows(
             evaluator,
             knobs,
@@ -364,7 +380,7 @@ class PolicyTable:
             objective=objective,
             constraints=tuple(constraints),
             snr_quantum_db=quantum,
-            bin_origin=bin_origin,
+            bin_origin=axis.start,
             distance_m=float(distance_m),
             knobs=knobs,
             compile_ms=(time.monotonic() - started) * 1e3,
@@ -413,7 +429,7 @@ class PolicyTable:
 
     def local_bins(self, snr_db) -> np.ndarray:
         """Axis-relative bin index of each SNR (may fall outside [0, n))."""
-        bins = _snr_bins(snr_db, self.snr_quantum_db).astype(np.int64)
+        bins = snr_bins(snr_db, self.snr_quantum_db).astype(np.int64)
         return bins - self.bin_origin
 
     def in_axis(self, local_bins: np.ndarray) -> np.ndarray:
@@ -421,7 +437,7 @@ class PolicyTable:
         return (local_bins >= 0) & (local_bins < len(self))
 
     def _local_bin(self, snr_db: float) -> int:
-        return int(_snr_bins(float(snr_db), self.snr_quantum_db)) - self.bin_origin
+        return int(snr_bins(float(snr_db), self.snr_quantum_db)) - self.bin_origin
 
     def covers(self, snr_db: float) -> bool:
         """True when the SNR quantizes onto the supported axis."""

@@ -158,6 +158,8 @@ class Client:
                 "policy_table_bytes": policy["table_bytes"],
                 "policy_bin_lookups_total": policy["bin_lookups"],
                 "policy_bin_hits_total": policy["bin_hits"],
+                "policy_staircase_bins": policy["staircase_bins"],
+                "policy_staircase_bytes": policy["staircase_bytes"],
             }
         )
         data["counters"] = dict(sorted(counters.items()))

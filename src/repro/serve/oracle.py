@@ -9,10 +9,14 @@ operations rather than Python scans. An :class:`Oracle` answers
 ``recommend`` and ``evaluate`` requests; each recommend answer names one
 of four cache tiers:
 
-* ``policy`` (opt-in) — precompiled
-  :class:`~repro.core.optimization.PolicyTable` answers covering the
-  whole SNR axis: a default-bounds recommend becomes an O(1) bin lookup
-  that never touches the solver, independent of grid size;
+* ``policy`` (opt-in) — compiled answers, no solver. A recommend
+  without constraints reads its objective's
+  :class:`~repro.core.optimization.PolicyTable`, which covers the whole
+  SNR axis: an O(1) bin lookup, independent of grid size. A recommend
+  with exactly one constraint bound reads its SNR bin's
+  :class:`~repro.core.optimization.ConstraintStaircases`: a
+  ``searchsorted`` over that (objective, constraint) pair's steps and
+  one gather;
 * ``precomputed`` — tables for the discretized Table-I distances,
   built once at startup (``precompute``) and never evicted;
 * ``lru`` — tables for off-grid links (arbitrary distances,
@@ -28,15 +32,24 @@ costs a handful of array reads. The service layer on top batches
 compatible cold queries so the grid evaluation is paid once per link,
 not once per request.
 
+Staircases are built lazily, per bin and for all 36 (objective,
+constraint) pairs at once: a bin's first single-bound request fetches
+the bin's table through :meth:`Oracle.table_for` (and reports that
+fetch's tier), builds every pair's staircases from it (a few
+milliseconds) and keeps them for the oracle's life. Only bins on the
+policy axis get staircases, so the axis bounds their memory (~42 KB a
+bin, ~8.5 MB for all 201 bins at 4560 configurations).
+
 With the policy enabled the LRU is demoted to a fallback for requests
-the tables cannot serve — non-default constraint bounds and SNRs off the
-compiled axis — and reference-SNR cache keys are quantized to the policy
-bin, so two requests 0.01 dB apart share one table instead of missing
-each other (``bin_hit_rate`` in ``/metrics``); both bins are of the
-link's level-31 SNR (:func:`~repro.serve.protocol.link_base_snr_db`).
-Answers for quantized links are the bin-center answers: exact at bin
-centers, and within the same quantization the fleet engine applies
-everywhere.
+the compiled tiers cannot serve — more than one constraint bound,
+SNRs off the compiled axis, a constrained distance link — and for the
+first single-bound request of each bin. Reference-SNR cache keys are
+quantized to the policy bin, so two requests 0.01 dB apart share one
+table instead of missing each other (``bin_hit_rate`` in
+``/metrics``); both bins are of the link's level-31 SNR
+(:func:`~repro.serve.protocol.link_base_snr_db`). Answers for quantized
+links are the bin-center answers: exact at bin centers, and within the
+same quantization the fleet engine applies everywhere.
 """
 
 # reprolint: hot-path — recommend/evaluate loop timed by perf/run.py http-mixed
@@ -56,12 +69,15 @@ from ..core.optimization import (
     DEFAULT_SNR_QUANTUM_DB,
     DEFAULT_SNR_RANGE_DB,
     ConfigEvaluation,
+    ConstraintStaircases,
     GridEvaluation,
     ModelEvaluator,
     PolicyTable,
     TuningGrid,
     evaluate_grid_columns,
     quantize_snr_db,
+    snr_axis_bins,
+    snr_bins,
     snr_map_from_reference,
     solve_epsilon_constraint,
 )
@@ -188,7 +204,7 @@ class FleetRecommendResult:
 
 
 class Oracle:
-    """Answers recommend/evaluate queries from the four cache tiers.
+    """Answers recommend/evaluate queries from the policy and table tiers.
 
     Thread-safe: tier bookkeeping is done under a lock, while the expensive
     table builds run outside it so concurrent queries for *different* links
@@ -225,6 +241,17 @@ class Oracle:
         self._solver_solves = 0
         self._bin_lookups = 0
         self._bin_hits = 0
+        #: Policy SNR bin number → that bin's constraint staircases, built
+        #: from the bin's table by its first single-bound request. The
+        #: axis bounds how many are kept.
+        self._staircases: Dict[int, ConstraintStaircases] = {}
+        #: The grid's knob columns, one copy for every bin's staircases.
+        self._staircase_knobs: Optional[Tuple[np.ndarray, ...]] = None
+        self._axis_bins = (
+            snr_axis_bins(self.snr_quantum_db)
+            if self.policy and self.snr_quantum_db > 0
+            else range(0)
+        )
         #: Cold grid-evaluation latency (ms), one observation per table
         #: build. The service layer registers this into ``/metrics`` as
         #: ``grid_eval_ms`` so cache-miss cost is visible in production.
@@ -348,20 +375,39 @@ class Oracle:
     def policy_recommend(
         self, request: RecommendRequest
     ) -> Optional[RecommendResult]:
-        """O(1) policy answer, or None when the request needs the solver.
+        """Compiled policy answer, or None when the request needs a table.
 
-        None — a counted fallback — when the oracle has no policy, the
-        request carries non-default constraint bounds, or the link's
-        level-31 SNR falls off the compiled axis. An infeasible bin
-        raises the stored :class:`~repro.errors.InfeasibleError`, byte
-        for byte what the solver would have said.
+        A request without constraints reads its objective's
+        :class:`~repro.core.optimization.PolicyTable` bin; a single-bound
+        request reads its bin's
+        :class:`~repro.core.optimization.ConstraintStaircases`. None — a
+        counted fallback — when the oracle has no policy, the request
+        carries more than one bound or a single bound on a distance link,
+        or the link's level-31 SNR falls off the compiled axis. None, and
+        no fallback, when a single-bound request's staircases are not
+        built yet: :meth:`recommend_batch` builds them from the table it
+        fetches. An infeasible answer raises the
+        :class:`~repro.errors.InfeasibleError` the solver would have
+        raised, byte for byte.
         """
         if not self.policy:
             return None
         if request.constraints:
+            bin_number = self._staircase_bin(request)
             with self._lock:
-                self._policy_fallbacks += 1
-            return None
+                if bin_number is None:
+                    self._policy_fallbacks += 1
+                    return None
+                staircases = self._staircases.get(bin_number)
+                if staircases is None:
+                    return None
+                self._policy_lookups += 1
+            evaluation = staircases.solve(
+                request.objective, request.constraints[0]
+            )
+            return RecommendResult(
+                evaluation=evaluation, cache_tier=TIER_POLICY
+            )
         table = self.policy_for(request.objective)
         snr_db = link_base_snr_db(request.link, self.environment)
         if not table.covers(snr_db):
@@ -373,6 +419,49 @@ class Oracle:
         evaluation = table.lookup(snr_db, request.link.grid_distance_m())
         return RecommendResult(evaluation=evaluation, cache_tier=TIER_POLICY)
 
+    def _staircase_bin(self, request: RecommendRequest) -> Optional[int]:
+        """The policy bin whose staircases answer the request, or None.
+
+        Only a single-bound request for a reference-SNR link whose
+        level-31 SNR bins onto the axis qualifies; the bin is the one
+        :meth:`table_for` keys the link's table by.
+        """
+        if (
+            not self._axis_bins
+            or len(request.constraints) != 1
+            or request.link.snr_db is None
+        ):
+            return None
+        snr_db = link_base_snr_db(request.link, self.environment)
+        bin_number = int(snr_bins(snr_db, self.snr_quantum_db))
+        return bin_number if bin_number in self._axis_bins else None
+
+    def _solve_fetched(
+        self, table: GridEvaluation, request: RecommendRequest
+    ) -> ConfigEvaluation:
+        """Answer one request from its link's fetched table.
+
+        A single-bound request on the policy axis builds its bin's
+        staircases from the table (once per bin) and reads its answer
+        there, a counted policy lookup; every other request is solved.
+        """
+        bin_number = self._staircase_bin(request)
+        if bin_number is None:
+            return self.recommend_from_table(table, request)
+        with self._lock:
+            self._policy_lookups += 1
+            staircases = self._staircases.get(bin_number)
+            knobs = self._staircase_knobs
+        if staircases is None:
+            built = ConstraintStaircases.build(table, knobs)
+            with self._lock:
+                if bin_number not in self._staircases:
+                    self._staircases[bin_number] = built
+                    if self._staircase_knobs is None:
+                        self._staircase_knobs = built.knobs
+                staircases = self._staircases[bin_number]
+        return staircases.solve(request.objective, request.constraints[0])
+
     def policy_info(self) -> Dict[str, object]:
         """Policy-tier counters and table stats, JSON-ready."""
         with self._lock:
@@ -382,6 +471,8 @@ class Oracle:
             solver_solves = self._solver_solves
             bin_lookups = self._bin_lookups
             bin_hits = self._bin_hits
+            staircases = list(self._staircases.values())
+            knobs = self._staircase_knobs or ()
         with self._policy_lock:
             tables = dict(self._policies)
         return {
@@ -397,6 +488,9 @@ class Oracle:
             "bin_lookups": bin_lookups,
             "bin_hits": bin_hits,
             "bin_hit_rate": (bin_hits / bin_lookups) if bin_lookups else 0.0,
+            "staircase_bins": len(staircases),
+            "staircase_bytes": sum(s.nbytes for s in staircases)
+            + sum(column.nbytes for column in knobs),
             "compile_ms": self.policy_compile_ms.as_dict(),
         }
 
@@ -428,7 +522,9 @@ class Oracle:
         """Answer recommend requests for one link: the one answer path.
 
         Each request tries :meth:`policy_recommend`; the rest share one
-        :meth:`table_for` fetch and are each solved by
+        :meth:`table_for` fetch. A single-bound request on the policy
+        axis is then answered by the staircases built from that table
+        (reported with the fetch's tier); every other one is solved by
         :meth:`recommend_from_table`. A :class:`~repro.errors.ReproError`
         is returned in its request's place; anything else propagates.
         """
@@ -452,7 +548,7 @@ class Oracle:
                 for index in rest:
                     try:
                         answers[index] = (
-                            self.recommend_from_table(table, requests[index]),
+                            self._solve_fetched(table, requests[index]),
                             tier,
                         )
                     except ReproError as exc:

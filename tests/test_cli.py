@@ -1,7 +1,14 @@
 """CLI tests (repro.cli)."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -100,6 +107,38 @@ class TestServeParser:
     def test_precompute_garbage_rejected(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--precompute", "garbage"])
+
+
+class TestServeSignals:
+    @pytest.mark.parametrize("signame", ["INT", "TERM"])
+    def test_background_server_stops_and_exits_zero(self, tmp_path, signame):
+        # A non-interactive bash starts a background job with SIGINT
+        # ignored; the server must still stop on kill -INT (and -TERM).
+        log = tmp_path / "serve.log"
+        script = (
+            f'"{sys.executable}" -m repro.cli serve --port 0 '
+            f'--precompute none --no-policy > "{log}" 2>&1 & '
+            "pid=$!; "
+            "for _ in $(seq 600); do "
+            f'grep -q listening "{log}" && break; sleep 0.1; done; '
+            f"kill -{signame} $pid; wait $pid"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(Path(repro.__file__).parents[1]),
+                          env.get("PYTHONPATH")))
+        )
+        shell = subprocess.Popen(
+            ["bash", "-c", script], env=env, start_new_session=True
+        )
+        try:
+            code = shell.wait(timeout=90)
+        except subprocess.TimeoutExpired:
+            os.killpg(shell.pid, signal.SIGKILL)
+            shell.wait(timeout=10)
+            pytest.fail(f"serve ignored SIGINT/SIGTERM: {log.read_text()}")
+        assert code == 0, log.read_text()
+        assert "shutting down" in log.read_text()
 
 
 class TestCaseStudy:

@@ -267,15 +267,52 @@ class TestOraclePolicyTier:
     def test_constrained_requests_fall_back_to_the_solver(
         self, policy_oracle
     ):
+        # Two bounds: no staircase answers that, so the table tier solves.
         request = RecommendRequest(
             link=LinkSpec(snr_db=6.0),
-            constraints=(Constraint(objective="rho", upper_bound=1.0),),
+            constraints=(
+                Constraint(objective="rho", upper_bound=1.0),
+                Constraint(objective="delay", upper_bound=1000.0),
+            ),
         )
         result = policy_oracle.recommend(request)
         assert result.cache_tier == TIER_MISS
         info = policy_oracle.policy_info()
         assert info["fallbacks"] == 1
         assert info["solver_solves"] == 1
+        assert info["staircase_bins"] == 0
+        assert result.evaluation == policy_oracle.uncached_recommend(request)
+
+    def test_single_bound_requests_read_the_bin_staircases(
+        self, policy_oracle
+    ):
+        # The bin's first single-bound request fetches its table (a miss)
+        # and builds the staircases; any later bound on that bin, for any
+        # objective, is a policy answer. No request reaches the solver.
+        requests = [
+            RecommendRequest(
+                link=LinkSpec(snr_db=6.0),
+                objective=objective,
+                constraints=(Constraint(objective=name, upper_bound=bound),),
+            )
+            for objective, name, bound in (
+                ("energy", "rho", 1.0),
+                ("energy", "rho", 0.5),
+                ("goodput", "loss", 0.05),
+                ("delay", "energy", 0.5),
+            )
+        ]
+        tiers = [policy_oracle.recommend(r).cache_tier for r in requests]
+        assert tiers == [TIER_MISS, TIER_POLICY, TIER_POLICY, TIER_POLICY]
+        info = policy_oracle.policy_info()
+        assert info["solver_solves"] == 0
+        assert (info["lookups"], info["fallbacks"]) == (4, 0)
+        assert info["staircase_bins"] == 1
+        assert info["staircase_bytes"] > 0
+        for request in requests:
+            assert policy_oracle.recommend(request).evaluation == (
+                policy_oracle.uncached_recommend(request)
+            )
 
     def test_off_axis_snr_falls_back(self):
         oracle = Oracle(grid=SMALL_GRID, policy=True)
@@ -306,18 +343,24 @@ class TestOraclePolicyTier:
         assert oracle.recommend(request).cache_tier == TIER_MISS
 
     def test_bin_quantized_lru_shares_tables(self, policy_oracle):
-        # Constrained requests take the table path; 6.0 and 6.01 dB land
-        # in the same 0.25 dB policy bin, so the second is an LRU hit.
-        constraints = (Constraint(objective="rho", upper_bound=1.0),)
+        # 6.0 and 6.01 dB land in the same 0.25 dB policy bin: the second
+        # single-bound request reads the staircases the first one built,
+        # and a two-bound request there hits the first one's LRU table.
+        rho = Constraint(objective="rho", upper_bound=1.0)
+        delay = Constraint(objective="delay", upper_bound=1000.0)
         tiers = [
             policy_oracle.recommend(
                 RecommendRequest(
                     link=LinkSpec(snr_db=snr_db), constraints=constraints
                 )
             ).cache_tier
-            for snr_db in (6.0, 6.01)
+            for snr_db, constraints in (
+                (6.0, (rho,)),
+                (6.01, (delay,)),
+                (6.01, (rho, delay)),
+            )
         ]
-        assert tiers == [TIER_MISS, TIER_LRU]
+        assert tiers == [TIER_MISS, TIER_POLICY, TIER_LRU]
         info = policy_oracle.policy_info()
         assert info["bin_lookups"] == 2
         assert info["bin_hits"] == 1

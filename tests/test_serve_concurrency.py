@@ -1,8 +1,8 @@
 """Threaded stress tests for repro.serve's shared-state primitives.
 
 These tests hammer :class:`LruCache`, :class:`ServiceMetrics` /
-:class:`LatencyHistogram`, and :class:`_Pending` from many threads at
-once and compare the final counters against a single-threaded ground
+:class:`LatencyHistogram`, :class:`_Pending` and the oracle's per-bin
+constraint staircases from many threads at once and compare the final counters against a single-threaded ground
 truth. They are the runtime complement of the RPR201/RPR202 static
 checks: the linter proves every access is inside a critical section, and
 these tests prove the critical sections compose into the documented
@@ -14,11 +14,14 @@ second while still interleaving heavily (a tight loop over a lock is the
 best contention generator pytest can afford).
 """
 
+import sys
 import threading
 
 import pytest
 
+from repro.core.optimization import Constraint, TuningGrid
 from repro.errors import ServeError
+from repro.serve import LinkSpec, Oracle, RecommendRequest
 from repro.serve.cache import LruCache
 from repro.serve.metrics import LatencyHistogram, ServiceMetrics
 from repro.serve.service import _Pending
@@ -51,8 +54,56 @@ def run_threads(worker, n_threads=N_THREADS):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
     assert errors == []
+
+
+class TestOracleStaircasesUnderContention:
+    def test_first_touches_race_to_one_staircase_set_per_bin(self):
+        # Every thread asks single-bound questions of the same four bins
+        # at once, so first touches race to build and install. Each bin
+        # must end with one staircase set, every answer must be the
+        # solver's, and no lookup may be lost.
+        grid = TuningGrid(
+            ptx_levels=(3, 15, 31),
+            payload_values_bytes=(20, 65, 110),
+            n_max_tries_values=(1, 3),
+        )
+        oracle = Oracle(grid=grid, lru_capacity=2, policy=True)
+        requests = [
+            RecommendRequest(
+                link=LinkSpec(snr_db=snr_db),
+                objective=objective,
+                constraints=(Constraint(objective=name, upper_bound=bound),),
+            )
+            for snr_db in (2.0, 6.0, 9.25, 17.5)
+            for objective, name, bound in (
+                ("energy", "delay", 40.0),
+                ("goodput", "loss", 0.05),
+            )
+        ]
+        reference = Oracle(grid=grid)
+        want = [reference.uncached_recommend(r) for r in requests]
+        rounds = 10
+
+        def worker(index):
+            for round_index in range(rounds):
+                for offset in range(len(requests)):
+                    at = (index + round_index + offset) % len(requests)
+                    got = oracle.recommend(requests[at]).evaluation
+                    assert got == want[at]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads(worker, n_threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        info = oracle.policy_info()
+        assert info["staircase_bins"] == 4
+        assert info["lookups"] == 8 * rounds * len(requests)
+        assert (info["fallbacks"], info["solver_solves"]) == (0, 0)
 
 
 class TestLruCacheUnderContention:

@@ -219,6 +219,27 @@ class TestOperationalEndpoints:
         assert body["latency"]["http_request_s"]["count"] >= 1
         assert body["latency"]["request_total_s"]["p99_s"] >= 0.0
 
+    def test_metrics_report_staircases(self):
+        for http_server in serving(policy=True):
+            payload = {
+                "link": {"snr_db": 6.0},
+                "constraints": [{"objective": "delay", "max": 40.0}],
+            }
+            tiers = [
+                post(http_server, "/v1/recommend", payload)[1]["cache"]
+                for _ in range(2)
+            ]
+            assert tiers == ["miss", "policy"]
+            _, body = get(http_server, "/metrics")
+            counters = body["counters"]
+            assert counters["policy_staircase_bins"] == 1
+            assert counters["policy_staircase_bytes"] > 0
+            assert counters["policy_staircase_bytes"] == (
+                body["policy"]["staircase_bytes"]
+            )
+            assert counters["policy_lookups_total"] == 2
+            assert counters["policy_fallbacks_total"] == 0
+
     def test_unknown_route_maps_to_404(self, server):
         status, body = post(server, "/v1/optimize", {"link": {"distance_m": 5}})
         assert status == 404

@@ -87,7 +87,8 @@ class TestReferenceLevelOnThePolicyOracle:
         link = {"snr_db": snr_db, "reference_level": 23}
         want = recommend(policy_client, {"snr_db": snr_db + 3.0}, CONSTRAINTS)
         got = recommend(policy_client, link, CONSTRAINTS)
-        assert got["cache"] == "lru"  # the level-31 request built the table
+        # The level-31 request built the bin's staircases.
+        assert got["cache"] == "policy"
         assert got["recommendation"] == want["recommendation"]
         exact = uncached(policy_client, link, CONSTRAINTS)
         assert got["recommendation"]["config"] == exact.config.as_dict()
