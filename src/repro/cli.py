@@ -521,21 +521,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     policy_note = (
         f", policy@{args.snr_quantum_db:g}dB" if args.policy else ""
     )
-    print(
-        f"wsnlink oracle listening on http://{args.host}:{server.port} "
-        f"(workers={args.workers}, queue={args.queue_capacity}, "
-        f"max_batch={args.max_batch}, grid={len(grid)} configs"
-        f"{policy_note}{telemetry_note})",
-        flush=True,
-    )
     # A background job of a non-interactive shell starts with SIGINT
     # ignored, so Python's KeyboardInterrupt is not installed there: take
-    # both stop signals explicitly, onto the same clean-shutdown path.
+    # both stop signals explicitly, onto the same clean-shutdown path —
+    # before announcing readiness, so a signal sent on "listening" stops
+    # the server instead of landing in the old disposition.
     previous = {
         signum: signal.signal(signum, _raise_interrupt)
         for signum in (signal.SIGINT, signal.SIGTERM)
     }
     try:
+        print(
+            f"wsnlink oracle listening on http://{args.host}:{server.port} "
+            f"(workers={args.workers}, queue={args.queue_capacity}, "
+            f"max_batch={args.max_batch}, grid={len(grid)} configs"
+            f"{policy_note}{telemetry_note})",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         print("interrupt received, shutting down", file=sys.stderr)

@@ -53,6 +53,7 @@ from .policy import (
     level_offset_lut_db,
     quantize_snr_db,
     snr_axis_bins,
+    snr_bin,
     snr_bins,
     solve_rows,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "objective_from_planes",
     "quantize_snr_db",
     "snr_axis_bins",
+    "snr_bin",
     "snr_bins",
     "solve_rows",
     "ParameterSensitivity",

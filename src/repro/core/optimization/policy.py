@@ -9,7 +9,7 @@ engine). This module pays that cost once, for every bin of a supported
 SNR axis, and stores the answers column-wise so a recommend becomes a
 memory-bound array lookup whose latency is independent of grid size.
 
-A :class:`PolicyTable` is compiled in one blocked vectorized pass over
+A :class:`PolicyTable` is compiled in blocked vectorized passes over
 the same metric planes the fleet engine solves
 (:func:`~repro.core.optimization.evaluate_metric_planes`): the SNR plane
 is ``bin_centers[:, None] + level_offsets[None, :]``, exploiting the
@@ -39,6 +39,13 @@ objective and feasibility planes the solve built: 9 bytes per
 fleet engine asks for them — its hysteresis check reads a configured
 link's current objective at ``plane[bin, config]``
 (:meth:`PolicyTable.take_planes`) instead of re-evaluating it.
+
+Compiling is transient memory on top of that: :func:`solve_rows`
+evaluates :data:`BLOCK_ELEMENTS` plane elements (at least
+:data:`MIN_BLOCK_ROWS` bins) at a time, so the eleven metric planes and
+their temporaries of one block — not of the whole axis — set the peak.
+A default-grid compile with kept planes raises the process's peak RSS
+by ~42 MB; one block spanning the whole axis would take ~148 MB.
 """
 
 # reprolint: hot-path — policy compile and bin-gather lookups timed by BENCH_policy.json
@@ -78,6 +85,7 @@ __all__ = [
     "level_offset_lut_db",
     "quantize_snr_db",
     "snr_axis_bins",
+    "snr_bin",
     "snr_bins",
     "solve_rows",
 ]
@@ -93,10 +101,36 @@ DEFAULT_SNR_QUANTUM_DB = 0.25
 #: back to an exact solve.
 DEFAULT_SNR_RANGE_DB: Tuple[float, float] = (-10.0, 40.0)
 
+#: Default plane elements per :func:`solve_rows` block: 1 MiB per
+#: float64 plane (28 rows of the paper's 4,560-configuration grid), so a
+#: compile's transient memory is one block's planes, not the whole
+#: axis's. Half this measured slower end to end: glibc sets its
+#: heap-trim threshold to twice the largest mmapped block freed so far,
+#: and after a compile in 512 KiB blocks a fleet-telemetry process
+#: trimmed and re-faulted ~1.2 MB of heap every step (305 minor page
+#: faults per ingest + step, p50 up ~30%).
+BLOCK_ELEMENTS = 131_072
+
+#: Fewest SNR rows per :func:`solve_rows` block. Each block re-runs the
+#: kernel's SNR-independent prelude (knob checks, casts, ``e_tx``), so on
+#: grids wider than ``BLOCK_ELEMENTS`` one-row blocks ran slower than
+#: two-row ones.
+MIN_BLOCK_ROWS = 2
+
 
 def snr_bins(snr_db, quantum_db: float) -> np.ndarray:
     """The SNR quantizer: bin number ``round(snr / quantum)`` (as float)."""
     return np.round(np.asarray(snr_db, dtype=float) / quantum_db)
+
+
+def snr_bin(snr_db: float, quantum_db: float) -> int:
+    """:func:`snr_bins` of one SNR, as an int, without touching numpy.
+
+    Python's ``round`` and ``np.round`` both round halves to even, and
+    the float division is the same IEEE operation, so the bin is the
+    same; this path costs ~0.2 µs against ~5 µs through a 0-d array.
+    """
+    return round(float(snr_db) / quantum_db)
 
 
 def snr_axis_bins(
@@ -119,7 +153,7 @@ def snr_axis_bins(
             f"got {snr_range_db!r}"
         )
     low_bin, high_bin = (
-        int(snr_bins(edge_db, quantum_db)) for edge_db in (low_db, high_db)
+        snr_bin(edge_db, quantum_db) for edge_db in (low_db, high_db)
     )
     return range(low_bin, high_bin + 1)
 
@@ -184,7 +218,7 @@ def solve_rows(
     snr_db: np.ndarray,
     objective: str,
     constraints: Sequence[Constraint] = (),
-    block_elements: int = 1_000_000,
+    block_elements: int = BLOCK_ELEMENTS,
     keep_planes: bool = False,
 ) -> RowAnswers:
     """Solve every reference-level SNR in ``snr_db`` over the whole grid.
@@ -192,18 +226,21 @@ def solve_rows(
     Row ``i`` is the plane ``snr_db[i] + offsets_db`` against the knob
     columns (``offsets_db`` is each configuration's output-power offset
     from the reference level), blocked to at most ``block_elements``
-    plane elements at a time. Each row is solved exactly like
-    :func:`~repro.core.optimization.solve_epsilon_constraint` on that
-    link's grid evaluation: metric planes → objective → feasibility mask
-    → :func:`masked_argmin_rows`. Both :meth:`PolicyTable.compile` (over
-    its bin centres) and the fleet engine (over the SNRs its table does
-    not cover) solve through here. ``keep_planes`` returns the objective
-    and feasibility planes too; a single-block solve hands over the
-    block's own arrays, without a copy.
+    plane elements at a time but never fewer than
+    :data:`MIN_BLOCK_ROWS` rows. Rows are independent, so the block size
+    changes the peak memory, never an answer. Each row is solved exactly
+    like :func:`~repro.core.optimization.solve_epsilon_constraint` on
+    that link's grid evaluation: metric planes → objective → feasibility
+    mask → :func:`masked_argmin_rows`. Both :meth:`PolicyTable.compile`
+    (over its bin centres) and the fleet engine (over the SNRs its table
+    does not cover) solve through here. ``keep_planes`` also returns the
+    objective and feasibility planes, each block written into one
+    preallocated ``(rows, configs)`` pair.
     """
     ptx, payload, tries, retry_ms, qmax, tpkt_ms = knobs
     snr_db = np.asarray(snr_db, dtype=float)
     n_rows = int(snr_db.shape[0])
+    n_configs = int(ptx.shape[0])
     constrained = list(dict.fromkeys(c.objective for c in constraints))
     answers = RowAnswers(
         best_index=np.empty(n_rows, dtype=np.int64),
@@ -214,8 +251,12 @@ def solve_rows(
         },
         constraint_best={name: np.empty(n_rows) for name in constrained},
     )
-    rows_per_block = max(1, int(block_elements) // int(ptx.shape[0]))
-    planes = []
+    if keep_planes:
+        answers = answers._replace(
+            objective_plane=np.empty((n_rows, n_configs)),
+            feasible_plane=np.empty((n_rows, n_configs), dtype=bool),
+        )
+    rows_per_block = max(MIN_BLOCK_ROWS, int(block_elements) // n_configs)
     for start in range(0, n_rows, rows_per_block):
         rows = slice(start, min(start + rows_per_block, n_rows))
         metrics = evaluate_metric_planes(
@@ -231,7 +272,8 @@ def solve_rows(
         objective_plane = objective_from_planes(metrics, objective)
         feasible_plane = feasible_mask(metrics, constraints)
         if keep_planes:
-            planes.append((objective_plane, feasible_plane))
+            answers.objective_plane[rows] = objective_plane
+            answers.feasible_plane[rows] = feasible_plane
         chosen, row_feasible = masked_argmin_rows(
             objective_plane, feasible_plane
         )
@@ -250,14 +292,6 @@ def solve_rows(
         # solver's infeasibility diagnosis reports.
         for name, column in answers.constraint_best.items():
             column[rows] = objective_from_planes(metrics, name).min(axis=1)
-    if planes:
-        objective_plane, feasible_plane = (
-            blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            for blocks in zip(*planes)
-        )
-        answers = answers._replace(
-            objective_plane=objective_plane, feasible_plane=feasible_plane
-        )
     return answers
 
 
@@ -345,7 +379,7 @@ class PolicyTable:
         distance_m: float = 10.0,
         keep_planes: bool = False,
     ) -> "PolicyTable":
-        """One vectorized pass over (bins × grid) — the whole axis at once.
+        """Solve every bin of the axis over the whole grid, in blocks.
 
         The evaluator only contributes its fitted sub-models (SNR enters
         through the explicit planes), so the default — built from the
@@ -436,17 +470,19 @@ class PolicyTable:
         """Which axis-relative bins the table actually covers."""
         return (local_bins >= 0) & (local_bins < len(self))
 
-    def _local_bin(self, snr_db: float) -> int:
-        return int(snr_bins(float(snr_db), self.snr_quantum_db)) - self.bin_origin
+    def covered_bin(self, snr_db: float) -> Optional[int]:
+        """The axis-relative bin of one SNR, or None off the axis."""
+        local = snr_bin(snr_db, self.snr_quantum_db) - self.bin_origin
+        return local if 0 <= local < len(self) else None
 
     def covers(self, snr_db: float) -> bool:
         """True when the SNR quantizes onto the supported axis."""
-        return 0 <= self._local_bin(snr_db) < len(self)
+        return self.covered_bin(snr_db) is not None
 
     def bin_index(self, snr_db: float) -> int:
         """The axis-relative bin of one SNR; raises when unsupported."""
-        local = self._local_bin(snr_db)
-        if not 0 <= local < len(self):
+        local = self.covered_bin(snr_db)
+        if local is None:
             raise OptimizationError(
                 f"SNR {snr_db:g} dB is outside the policy axis "
                 f"[{self.snr_min_db:g}, {self.snr_max_db:g}] dB"
@@ -515,7 +551,12 @@ class PolicyTable:
         Raises the stored-minima :class:`InfeasibleError` for infeasible
         bins and :class:`OptimizationError` for SNRs off the axis.
         """
-        index = self.bin_index(snr_db)
+        return self.lookup_bin(self.bin_index(snr_db), distance_m)
+
+    def lookup_bin(
+        self, index: int, distance_m: Optional[float] = None
+    ) -> ConfigEvaluation:
+        """:meth:`lookup` of an axis-relative bin already in range."""
         if not self.feasible[index]:
             raise self.infeasible_error_at(index)
         return ConfigEvaluation.from_columns(

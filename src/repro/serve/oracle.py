@@ -77,7 +77,7 @@ from ..core.optimization import (
     evaluate_grid_columns,
     quantize_snr_db,
     snr_axis_bins,
-    snr_bins,
+    snr_bin,
     snr_map_from_reference,
     solve_epsilon_constraint,
 )
@@ -409,14 +409,16 @@ class Oracle:
                 evaluation=evaluation, cache_tier=TIER_POLICY
             )
         table = self.policy_for(request.objective)
-        snr_db = link_base_snr_db(request.link, self.environment)
-        if not table.covers(snr_db):
+        index = table.covered_bin(
+            link_base_snr_db(request.link, self.environment)
+        )
+        if index is None:
             with self._lock:
                 self._policy_fallbacks += 1
             return None
         with self._lock:
             self._policy_lookups += 1
-        evaluation = table.lookup(snr_db, request.link.grid_distance_m())
+        evaluation = table.lookup_bin(index, request.link.grid_distance_m())
         return RecommendResult(evaluation=evaluation, cache_tier=TIER_POLICY)
 
     def _staircase_bin(self, request: RecommendRequest) -> Optional[int]:
@@ -433,7 +435,7 @@ class Oracle:
         ):
             return None
         snr_db = link_base_snr_db(request.link, self.environment)
-        bin_number = int(snr_bins(snr_db, self.snr_quantum_db))
+        bin_number = snr_bin(snr_db, self.snr_quantum_db)
         return bin_number if bin_number in self._axis_bins else None
 
     def _solve_fetched(

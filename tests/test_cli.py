@@ -140,6 +140,49 @@ class TestServeSignals:
         assert code == 0, log.read_text()
         assert "shutting down" in log.read_text()
 
+    def test_handlers_are_installed_before_listening(self, monkeypatch):
+        # A signal sent as soon as "listening" appears must find the
+        # handlers in place: check the order with the server patched out.
+        import repro.serve
+
+        events = []
+
+        class Stdout:
+            def write(self, text):
+                if "listening" in text:
+                    events.append("listening")
+                return len(text)
+
+            def flush(self):
+                pass
+
+        class FakeServer:
+            port = 0
+
+            def serve_forever(self):
+                events.append("serve")
+                raise KeyboardInterrupt  # what either handler raises
+
+            def server_close(self):
+                pass
+
+        def fake_signal(signum, handler):
+            events.append(("signal", signum))
+            return signal.SIG_DFL
+
+        monkeypatch.setattr(
+            repro.serve, "make_server", lambda *args, **kwargs: FakeServer()
+        )
+        monkeypatch.setattr(signal, "signal", fake_signal)
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        code = main(["serve", "--port", "0", "--precompute", "none",
+                     "--no-policy"])
+        assert code == 0
+        installed = [("signal", signal.SIGINT), ("signal", signal.SIGTERM)]
+        assert events[:4] == installed + ["listening", "serve"]
+        # Shutdown restores both previous dispositions.
+        assert sorted(events[4:]) == sorted(installed)
+
 
 class TestCaseStudy:
     def test_prints_tables(self, capsys):

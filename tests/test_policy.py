@@ -20,6 +20,8 @@ from repro.core.optimization import (
     evaluate_grid_columns,
     level_offset_lut_db,
     masked_argmin_rows,
+    snr_bin,
+    snr_bins,
     snr_map_from_reference,
     solve_epsilon_constraint,
     solve_rows,
@@ -149,6 +151,95 @@ class TestPolicyEquivalence:
         assert stats["n_configs"] == len(SMALL_GRID)
         assert stats["table_bytes"] == table.nbytes
         assert stats["compile_ms"] >= 0.0
+
+
+class TestScalarBinning:
+    @pytest.mark.parametrize("quantum_db", [0.25, 0.5, 0.1, 1.0 / 3.0])
+    def test_scalar_bin_matches_the_array_quantizer(self, quantum_db):
+        rng = np.random.default_rng(29)
+        bins = np.arange(-400, 401)
+        snrs = np.concatenate(
+            [
+                rng.uniform(-60.0, 60.0, size=5000),
+                bins * quantum_db,  # exact centres
+                (bins + 0.5) * quantum_db,  # exact half-bins, ties to even
+                np.nextafter((bins + 0.5) * quantum_db, np.inf),
+                np.nextafter((bins + 0.5) * quantum_db, -np.inf),
+                [0.0, -0.0, -quantum_db / 2, quantum_db / 2],
+            ]
+        )
+        expected = snr_bins(snrs, quantum_db)
+        got = [snr_bin(snr_db, quantum_db) for snr_db in snrs.tolist()]
+        assert all(type(bin_number) is int for bin_number in got)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_policy_recommend_bins_once(self, monkeypatch):
+        import repro.core.optimization.policy as policy_module
+
+        oracle = Oracle(grid=SMALL_GRID, policy=True)
+        request = RecommendRequest(link=LinkSpec(snr_db=7.3))
+        expected = oracle.policy_recommend(request)
+        calls = []
+        real = policy_module.snr_bin
+
+        def counting(snr_db, quantum_db):
+            calls.append(snr_db)
+            return real(snr_db, quantum_db)
+
+        monkeypatch.setattr(policy_module, "snr_bin", counting)
+        result = oracle.policy_recommend(request)
+        assert result.cache_tier == TIER_POLICY
+        assert result.evaluation == expected.evaluation
+        assert len(calls) == 1
+
+
+class TestBlockedSolve:
+    """Rows are independent: the block size never changes an answer."""
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [(), (Constraint("loss", 0.05), Constraint("delay", 60.0))],
+    )
+    def test_every_block_size_gives_identical_answers(self, constraints):
+        knobs = compile_table().knobs
+        n_configs = knobs[0].size
+        centers_db = np.arange(-20, 81) * 0.25
+        offsets_db = level_offset_lut_db(knobs[0])[knobs[0]]
+        evaluator = ModelEvaluator(snr_by_level=snr_map_from_reference(0.0))
+
+        def solve(snr_db, rows_per_block):
+            return solve_rows(
+                evaluator,
+                knobs,
+                offsets_db,
+                snr_db,
+                "energy",
+                constraints,
+                block_elements=rows_per_block * n_configs,
+                keep_planes=True,
+            )
+
+        whole = solve(centers_db, centers_db.size)
+        # One row (lifted to MIN_BLOCK_ROWS), an odd size, 14 and 28 rows.
+        runs = [solve(centers_db, rows) for rows in (1, 5, 14, 28)]
+        # A one-row solve is a one-row block: the fleet's usual case.
+        singles = [solve(centers_db[i : i + 1], 1) for i in range(3)]
+        for answers, rows in [(run, slice(None)) for run in runs] + [
+            (single, slice(i, i + 1)) for i, single in enumerate(singles)
+        ]:
+            for name in ("best_index", "best_objective", "feasible",
+                         "objective_plane", "feasible_plane"):
+                got, want = getattr(answers, name), getattr(whole, name)[rows]
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            for name in ("winner_metrics", "constraint_best"):
+                columns = getattr(answers, name)
+                assert columns.keys() == getattr(whole, name).keys()
+                for key, column in getattr(whole, name).items():
+                    np.testing.assert_array_equal(columns[key], column[rows])
+        assert whole.constraint_best.keys() == {
+            constraint.objective for constraint in constraints
+        }
 
 
 class TestKeptPlanes:
