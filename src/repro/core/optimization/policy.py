@@ -4,8 +4,8 @@ The epsilon-constraint answer for a link is fully determined by the
 tuple (SNR bin, objective, constraint bounds, grid): nothing else enters
 the solve. Without a table, a recommend pays a masked argmin over the
 full grid per *distinct* SNR at query time (:func:`solve_rows`; the
-fleet engine keeps those off-axis answers, so it pays once per SNR and
-engine). This module pays that cost once, for every bin of a supported
+fleet engine keeps up to 256 off-axis rows, so it pays about once per
+SNR). This module pays that cost once, for every bin of a supported
 SNR axis, and stores the answers column-wise so a recommend becomes a
 memory-bound array lookup whose latency is independent of grid size.
 
@@ -51,6 +51,7 @@ by ~42 MB; one block spanning the whole axis would take ~148 MB.
 # reprolint: hot-path — policy compile and bin-gather lookups timed by BENCH_policy.json
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -123,14 +124,16 @@ def snr_bins(snr_db, quantum_db: float) -> np.ndarray:
     return np.round(np.asarray(snr_db, dtype=float) / quantum_db)
 
 
-def snr_bin(snr_db: float, quantum_db: float) -> int:
+def snr_bin(snr_db: float, quantum_db: float) -> Optional[int]:
     """:func:`snr_bins` of one SNR, as an int, without touching numpy.
 
     Python's ``round`` and ``np.round`` both round halves to even, and
     the float division is the same IEEE operation, so the bin is the
     same; this path costs ~0.2 µs against ~5 µs through a 0-d array.
+    None when ``snr / quantum`` overflows (say 1e308 dB): no axis has it.
     """
-    return round(float(snr_db) / quantum_db)
+    quotient = float(snr_db) / quantum_db
+    return round(quotient) if math.isfinite(quotient) else None
 
 
 def snr_axis_bins(
@@ -147,14 +150,14 @@ def snr_axis_bins(
             f"snr_quantum_db must be positive, got {quantum_db!r}"
         )
     low_db, high_db = (float(snr_range_db[0]), float(snr_range_db[1]))
-    if not low_db <= high_db:
-        raise OptimizationError(
-            f"snr_range_db must be (low, high) with low <= high, "
-            f"got {snr_range_db!r}"
-        )
     low_bin, high_bin = (
         snr_bin(edge_db, quantum_db) for edge_db in (low_db, high_db)
     )
+    if low_bin is None or high_bin is None or not low_db <= high_db:
+        raise OptimizationError(
+            f"snr_range_db must be (low, high) with finite bins and "
+            f"low <= high, got {snr_range_db!r}"
+        )
     return range(low_bin, high_bin + 1)
 
 
@@ -472,8 +475,10 @@ class PolicyTable:
 
     def covered_bin(self, snr_db: float) -> Optional[int]:
         """The axis-relative bin of one SNR, or None off the axis."""
-        local = snr_bin(snr_db, self.snr_quantum_db) - self.bin_origin
-        return local if 0 <= local < len(self) else None
+        local = snr_bin(snr_db, self.snr_quantum_db)
+        if local is not None and 0 <= local - self.bin_origin < len(self):
+            return local - self.bin_origin
+        return None
 
     def covers(self, snr_db: float) -> bool:
         """True when the SNR quantizes onto the supported axis."""

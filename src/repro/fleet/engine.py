@@ -11,27 +11,28 @@ one knob-column grid and differs only by a per-link scalar. One step
 2. gathers each on-axis link's answer out of a lazily compiled
    :class:`~repro.core.optimization.PolicyTable` — one ``np.take`` per
    answer column, no solve;
-3. answers the remaining (off-axis) links per distinct quantized SNR.
-   Each off-axis SNR is solved once per engine with
-   :func:`~repro.core.optimization.solve_rows`, the same row solver the
-   table was compiled with, and its answer is kept (sorted by SNR, never
-   evicted) so later steps gather it like an on-axis bin. Both kinds of
-   answer are identical to
+3. answers the remaining (off-axis) links per distinct quantized SNR
+   from a store of at most :data:`KEPT_ROWS` rows, each an SNR's best
+   index with its objective and feasibility planes. An SNR the store
+   lacks is solved into it by :func:`~repro.core.optimization.solve_rows`,
+   the row solver the table was compiled with; a full store is dropped
+   whole, and a step with more distinct off-axis SNRs than the cap
+   solves them without keeping them. Every answer is identical to
    :func:`~repro.core.optimization.solve_epsilon_constraint` (first-index
    tie-break);
 4. applies **hysteresis**: a configured link switches only when the
    objective improves on its current configuration (at the new SNR) by
    more than ``hysteresis`` relative — the paper's "don't chase noise"
-   guideline at fleet scale. An on-axis link reads its current
-   configuration's objective and feasibility out of the planes the
-   table was compiled from (:meth:`PolicyTable.take_planes`, one flat
-   ``np.take``); an off-axis link's current configuration is evaluated
-   with ``evaluate_metric_planes``. A link with a non-finite SNR is
+   guideline at fleet scale. A link answered from kept planes (the
+   table's, :meth:`PolicyTable.take_planes`, or the store's) reads its
+   current configuration's objective and feasibility out of them; a
+   link solved without planes is evaluated with
+   ``evaluate_metric_planes``. A link with a non-finite SNR is
    evaluated nowhere: it is infeasible either way.
 
 With ``use_policy=False`` or ``snr_quantum_db=0`` there is no table and
-no kept answer, so every link is off-axis and step 3 solves the whole
-fleet every step: the exact reference mode.
+no store, so every link is off-axis and steps 3 and 4 solve and evaluate
+the whole fleet every step: the exact reference mode.
 
 Links with no feasible configuration are marked ``config_index = −1``
 (objective NaN) and the step carries on; ``strict=True`` instead raises
@@ -72,14 +73,16 @@ from ..errors import FleetError
 from .state import FleetState
 
 __all__ = [
+    "KEPT_ROWS",
     "FleetEngine",
     "FleetStepReport",
 ]
 
-
-def _answer_columns(answers: RowAnswers) -> Tuple[np.ndarray, ...]:
-    """The per-row answer a fleet step needs: index, objective, feasible."""
-    return answers.best_index, answers.best_objective, answers.feasible
+#: Off-axis SNR rows a policy-mode engine keeps, each with its objective
+#: and feasibility planes (9 B per configuration: ~10.5 MB at the
+#: default 4,560-configuration grid). The store is allocated once and
+#: filled row by row, so untouched rows cost no resident memory.
+KEPT_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -175,17 +178,16 @@ class FleetEngine:
         #: exact SNRs", which cannot be tabulated.
         self.use_policy = bool(use_policy) and self.snr_quantum_db > 0.0
         self._policy: Optional[PolicyTable] = None
-        #: Off-axis answers solved so far (policy mode): the quantized
-        #: SNRs, sorted, and their (best_index, best_objective, feasible).
-        self._solved_snr_db = np.empty(0)
-        self._solved: Tuple[np.ndarray, ...] = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0),
-            np.empty(0, dtype=bool),
-        )
         self._knobs = grid_knob_columns(self.grid)
         #: Per-configuration SNR offset from the reference level (dB).
         self._offset_db = level_offset_lut_db(self._knobs[0])[self._knobs[0]]
+        #: Off-axis rows solved so far (policy mode): quantized SNR → row
+        #: of the best index and the objective and feasibility planes.
+        self._kept: Dict[float, int] = {}
+        if self.use_policy:
+            self._kept_index = np.empty(KEPT_ROWS, dtype=np.int64)
+            self._kept_objective = np.empty((KEPT_ROWS, len(self)))
+            self._kept_feasible = np.empty((KEPT_ROWS, len(self)), dtype=bool)
 
     def __len__(self) -> int:
         return len(self._knobs[0])
@@ -197,8 +199,8 @@ class FleetEngine:
 
         The grid's knobs gathered at each link's configuration index, and
         the link's reference-level SNR moved to that configuration's PA
-        level. Shared by hysteresis (off-axis links) and the routed
-        engine's edge metrics.
+        level. Shared by exact-mode hysteresis and the routed engine's
+        edge metrics.
         """
         ptx, payload, tries, retry_ms, qmax, tpkt_ms = self._knobs
         return {
@@ -233,7 +235,9 @@ class FleetEngine:
             )
         return self._policy
 
-    def _solve(self, snr_db: np.ndarray) -> RowAnswers:
+    def _solve(
+        self, snr_db: np.ndarray, keep_planes: bool = False
+    ) -> RowAnswers:
         """The row solver's answers at each (quantized) reference SNR."""
         return solve_rows(
             self.evaluator,
@@ -242,90 +246,55 @@ class FleetEngine:
             snr_db,
             self.objective,
             self.constraints,
+            keep_planes=keep_planes,
         )
 
-    def _off_axis_answers(
+    def _kept_rows(
         self, unique_snr_db: np.ndarray
-    ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-        """Answers at sorted distinct off-axis SNRs, and which were solved.
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Store rows of sorted distinct off-axis SNRs, and which were solved.
 
-        Exact mode solves every SNR. In policy mode only the SNRs no
-        earlier step solved go to the row solver; their answers are
-        merged into the kept ones and every SNR is gathered from there.
-        Keys are the quantized float SNRs themselves, so any finite SNR
-        has its own key.
+        The SNRs no kept row answers are solved into free rows, after
+        dropping the whole store when they do not fit. The rows are None
+        (every SNR solved, nothing kept) in exact mode and when the step
+        has more distinct off-axis SNRs than the store holds.
         """
-        if self._policy is None:
-            solved = np.ones(unique_snr_db.size, dtype=bool)
-            return _answer_columns(self._solve(unique_snr_db)), solved
-        missed = ~np.isin(
-            unique_snr_db, self._solved_snr_db, assume_unique=True
+        solved = np.ones(unique_snr_db.size, dtype=bool)
+        if not self.use_policy or unique_snr_db.size > KEPT_ROWS:
+            return None, solved
+        rows = np.array(
+            [self._kept.get(snr, -1) for snr in unique_snr_db.tolist()],
+            dtype=np.int64,
         )
-        if missed.any():
-            new_snr_db = unique_snr_db[missed]
-            at = np.searchsorted(self._solved_snr_db, new_snr_db)
-            fresh = _answer_columns(self._solve(new_snr_db))
-            self._solved_snr_db = np.insert(self._solved_snr_db, at, new_snr_db)
-            self._solved = tuple(
-                np.insert(kept, at, column)
-                for kept, column in zip(self._solved, fresh)
-            )
-        slots = np.searchsorted(self._solved_snr_db, unique_snr_db)
-        return tuple(column[slots] for column in self._solved), missed
-
-    def _current_objective(
-        self,
-        state: FleetState,
-        snr_db: np.ndarray,
-        current: np.ndarray,
-        on_axis: np.ndarray,
-        local_bins: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(objective, feasibility) of each link's current configuration.
-
-        At the same (quantized) SNR the candidates were solved at, so the
-        hysteresis comparison is apples-to-apples. ``current`` marks the
-        configured links with a finite SNR: those on the axis read both
-        values out of the policy planes at their bin, the rest are
-        evaluated. Every other link carries a placeholder that the caller
-        masks out.
-        """
-        config_index = np.where(current, state.config_index, 0)
-        if self._policy is None:
-            current_objective = np.full(len(state), np.nan)
-            current_feasible = np.zeros(len(state), dtype=bool)
-        else:
-            current_objective, current_feasible = self._policy.take_planes(
-                np.where(on_axis, local_bins, 0), config_index
-            )
-        evaluated = np.flatnonzero(current & ~on_axis)
-        if evaluated.size:
-            metrics = evaluate_metric_planes(
-                self.evaluator,
-                **self.metric_inputs(
-                    config_index[evaluated], snr_db[evaluated]
-                ),
-            )
-            current_objective[evaluated] = objective_from_planes(
-                metrics, self.objective
-            )
-            current_feasible[evaluated] = feasible_mask(
-                metrics, self.constraints
-            )
-        return current_objective, current_feasible
+        solved = rows < 0
+        n_new = int(np.count_nonzero(solved))
+        if n_new:
+            if len(self._kept) + n_new > KEPT_ROWS:
+                self._kept.clear()
+                solved[:] = True
+                n_new = unique_snr_db.size
+            new_rows = np.arange(len(self._kept), len(self._kept) + n_new)
+            new_snr_db = unique_snr_db[solved]
+            answers = self._solve(new_snr_db, keep_planes=True)
+            self._kept_index[new_rows] = answers.best_index
+            self._kept_objective[new_rows] = answers.objective_plane
+            self._kept_feasible[new_rows] = answers.feasible_plane
+            self._kept.update(zip(new_snr_db.tolist(), new_rows.tolist()))
+            rows[solved] = new_rows
+        return rows, solved
 
     def step(self, state: FleetState, step_index: int = 0) -> FleetStepReport:
         """Recommend configurations for every link and update the state.
 
         One vectorized pass: links on the policy axis gather their bin's
-        precompiled answer, the rest gather their quantized SNR's kept
-        answer (solved once per engine, on first sight), and hysteresis
-        decides whether each configured link actually switches. A link
-        whose SNR is not finite has no answer: it is marked infeasible (a
-        :class:`FleetError` in strict mode).
+        precompiled answer, the rest their quantized SNR's kept row
+        (solved on first sight), and hysteresis decides whether each
+        configured link actually switches. A link whose SNR is not finite
+        has no answer: it is marked infeasible (a :class:`FleetError` in
+        strict mode).
 
         ``n_policy_links`` counts the links answered by a gather, from
-        the axis or the kept off-axis answers; ``n_fallback_links`` the
+        the axis or the kept off-axis rows; ``n_fallback_links`` the
         rest (links solved this step and links with a non-finite SNR).
         Both are 0 in exact mode.
         """
@@ -344,13 +313,18 @@ class FleetEngine:
 
         # The one candidate path: links on the policy axis gather their
         # bin's answer, every other finite link its distinct quantized
-        # SNR's answer. Without a table every link is off-axis.
+        # SNR's answer. Without a table every link is off-axis. Each
+        # source also yields the objective and feasibility of a link's
+        # current configuration, at the same SNR, for hysteresis.
         n_links = len(state)
+        configured = state.config_index >= 0
+        config_index = np.where(configured, state.config_index, 0)
         candidate_index = np.full(n_links, -1, dtype=np.int64)
         candidate_objective = np.full(n_links, np.nan)
         feasible = np.zeros(n_links, dtype=bool)
+        current_objective = np.full(n_links, np.nan)
+        current_feasible = np.zeros(n_links, dtype=bool)
         on_axis = np.zeros(n_links, dtype=bool)
-        local = None
         n_solved = 0
         n_unique_bins = 0
         policy = self.policy_table()
@@ -367,18 +341,51 @@ class FleetEngine:
                 candidate_objective[on_axis],
                 feasible[on_axis],
             ) = policy.take(bins)
+            current_objective[on_axis], current_feasible[on_axis] = (
+                policy.take_planes(bins, config_index[on_axis])
+            )
             n_unique_bins = int(np.count_nonzero(np.bincount(bins)))
         off_axis = finite & ~on_axis
         if off_axis.any():
             unique_snr_db, inverse = np.unique(
                 quantized_snr_db[off_axis], return_inverse=True
             )
-            answers, solved = self._off_axis_answers(unique_snr_db)
+            rows, solved = self._kept_rows(unique_snr_db)
+            if rows is None:
+                answers = self._solve(unique_snr_db)
+                columns = (answers.best_index, answers.best_objective, answers.feasible)
+                evaluated = off_axis & configured
+                if evaluated.any():
+                    metrics = evaluate_metric_planes(
+                        self.evaluator,
+                        **self.metric_inputs(
+                            config_index[evaluated],
+                            quantized_snr_db[evaluated],
+                        ),
+                    )
+                    current_objective[evaluated] = objective_from_planes(
+                        metrics, self.objective
+                    )
+                    current_feasible[evaluated] = feasible_mask(
+                        metrics, self.constraints
+                    )
+            else:
+                # A kept row's answer is its planes at its best index; a
+                # flat np.take reads the current configurations' values.
+                best_index = self._kept_index[rows]
+                columns = (
+                    best_index,
+                    self._kept_objective[rows, best_index],
+                    self._kept_feasible[rows, best_index],
+                )
+                flat = rows[inverse] * len(self) + config_index[off_axis]
+                current_objective[off_axis] = np.take(self._kept_objective, flat)
+                current_feasible[off_axis] = np.take(self._kept_feasible, flat)
             (
                 candidate_index[off_axis],
                 candidate_objective[off_axis],
                 feasible[off_axis],
-            ) = (column[inverse] for column in answers)
+            ) = (column[inverse] for column in columns)
             n_solved = int(np.count_nonzero(solved[inverse]))
             n_unique_bins += int(unique_snr_db.size)
         if self.strict and not feasible.all():
@@ -389,24 +396,12 @@ class FleetEngine:
                 lambda name: float(answers.constraint_best[name][0]),
             )
 
-        has_current = state.config_index >= 0
-        if has_current.any():
-            current_objective, current_feasible = self._current_objective(
-                state, quantized_snr_db, has_current & finite, on_axis, local
-            )
-            # Lanes with no feasible candidate carry inf/nan here; their
-            # comparison result is discarded by the ~feasible select below.
-            with np.errstate(invalid="ignore"):
-                improvement = current_objective - candidate_objective
-                threshold = self.hysteresis * np.abs(current_objective)
-                adopt = (
-                    ~has_current
-                    | ~current_feasible
-                    | (improvement > threshold)
-                )
-        else:
-            current_objective = np.full(n_links, np.nan)
-            adopt = np.ones(n_links, dtype=bool)
+        # Lanes with no feasible candidate carry inf/nan here; their
+        # comparison result is discarded by the ~feasible select below.
+        with np.errstate(invalid="ignore"):
+            improvement = current_objective - candidate_objective
+            threshold = self.hysteresis * np.abs(current_objective)
+            adopt = ~configured | ~current_feasible | (improvement > threshold)
 
         new_index = np.where(
             ~feasible,
@@ -420,10 +415,7 @@ class FleetEngine:
         )
         reconfigured = new_index != state.config_index
         infeasible = ~feasible
-        # Without a table there is nothing to gather or fall back from.
-        n_gathered = 0
-        if policy is not None:
-            n_gathered = int(np.count_nonzero(finite)) - n_solved
+        n_gathered = int(np.count_nonzero(finite)) - n_solved
         state.config_index = new_index
         state.objective_value = new_objective
         return FleetStepReport(
@@ -436,10 +428,9 @@ class FleetEngine:
             objective_value=new_objective,
             reconfigured=reconfigured,
             infeasible=infeasible,
-            n_policy_links=n_gathered,
-            n_fallback_links=(
-                n_links - n_gathered if policy is not None else 0
-            ),
+            # Without a table there is nothing to gather or fall back from.
+            n_policy_links=n_gathered if policy is not None else 0,
+            n_fallback_links=n_links - n_gathered if policy is not None else 0,
         )
 
     # ------------------------------------------------------------ lookup

@@ -75,7 +75,6 @@ from ..core.optimization import (
     PolicyTable,
     TuningGrid,
     evaluate_grid_columns,
-    quantize_snr_db,
     snr_axis_bins,
     snr_bin,
     snr_map_from_reference,
@@ -300,14 +299,16 @@ class Oracle:
         """The link snapped to its policy SNR bin, or None when not binnable.
 
         Only reference-SNR links on a policy-enabled oracle are binned, by
-        their level-31 SNR; distance links keep their exact keys.
+        their level-31 SNR; distance links, and SNRs whose bin number
+        overflows, keep their exact keys.
         """
-        if not self.policy or link.snr_db is None:
+        if not self._axis_bins or link.snr_db is None:
             return None
         snr_db = link_base_snr_db(link, self.environment)
-        return LinkSpec(
-            snr_db=float(quantize_snr_db(snr_db, self.snr_quantum_db))
-        )
+        bin_number = snr_bin(snr_db, self.snr_quantum_db)
+        if bin_number is None:
+            return None
+        return LinkSpec(snr_db=bin_number * self.snr_quantum_db)
 
     def table_for(self, link: LinkSpec) -> Tuple[GridEvaluation, str]:
         """The link's evaluated grid and the cache tier that supplied it.

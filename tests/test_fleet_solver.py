@@ -1,6 +1,6 @@
 """The fleet engine's one candidate path: gather on-axis links out of the
 policy table, solve the rest with the same row solver the table was
-compiled with (once per engine and off-axis SNR, gathered afterwards),
+compiled with (kept in a bounded store of rows and gathered afterwards),
 and give links with a non-finite SNR no answer."""
 
 import math
@@ -26,6 +26,8 @@ from repro.core.optimization import (
 )
 from repro.errors import FleetError, InfeasibleError
 from repro.fleet import FleetEngine, FleetState
+from repro.fleet import engine as engine_module
+from repro.fleet.engine import KEPT_ROWS
 from repro.routing import RoutedFleetEngine, build_routes
 
 SMALL_GRID = TuningGrid(
@@ -329,6 +331,115 @@ class TestPolicyModeHysteresis:
         np.testing.assert_array_equal(
             table.feasible_plane[bins], feasible_mask(metrics, constraints)
         )
+
+
+class TestKeptRowStore:
+    """Off-axis rows are kept with their planes, at most ``KEPT_ROWS``."""
+
+    @staticmethod
+    def step_both(fleet, exact, fleet_state, exact_state, snr_db):
+        fleet_state.snr_db = np.array(snr_db, dtype=float)
+        exact_state.snr_db = np.array(snr_db, dtype=float)
+        got = fleet.step(fleet_state)
+        want = exact.step(exact_state)
+        np.testing.assert_array_equal(got.config_index, want.config_index)
+        assert np.array_equal(
+            got.objective_value, want.objective_value, equal_nan=True
+        )
+        np.testing.assert_array_equal(got.reconfigured, want.reconfigured)
+        return got
+
+    def test_streamed_snrs_stay_under_the_cap(self):
+        # 40 links: a third fixed on the axis, the rest given a fresh
+        # off-axis SNR every step (half above the axis, half below), so
+        # the run meets 3.6x the cap of distinct off-axis SNRs.
+        constraints = (Constraint("delay", 60.0),)
+        fleet = engine(True, constraints=constraints)
+        exact = engine(False, constraints=constraints)
+        n_links, n_steps = 40, 34
+        fleet_state = FleetState.from_base_snr(np.zeros(n_links))
+        exact_state = FleetState.from_base_snr(np.zeros(n_links))
+        on_axis_db = np.linspace(-8.0, 38.0, n_links // 3)
+        n_off = n_links - on_axis_db.size
+        sizes = []
+        for step in range(n_steps):
+            fresh = (step * n_off + np.arange(n_off)) * QUANTUM_DB
+            snr_db = np.concatenate(
+                [
+                    on_axis_db,
+                    OFF_AXIS_HIGH_DB + fresh[::2],
+                    OFF_AXIS_LOW_DB - fresh[1::2],
+                ]
+            )
+            report = self.step_both(
+                fleet, exact, fleet_state, exact_state, snr_db
+            )
+            assert report.n_fallback_links == n_off
+            sizes.append(len(fleet._kept))
+        assert n_steps * n_off > 3 * KEPT_ROWS
+        assert max(sizes) <= KEPT_ROWS
+        # The store filled and was dropped whole at least once.
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))
+
+    def test_a_step_past_the_cap_takes_the_exact_path(self):
+        # KEPT_ROWS + 1 distinct off-axis SNRs in one step are solved and
+        # evaluated like the exact engine, and nothing is kept.
+        fleet, exact = engine(True), engine(False)
+        snr_db = OFF_AXIS_HIGH_DB + np.arange(KEPT_ROWS + 1) * QUANTUM_DB
+        fleet_state = FleetState.from_base_snr(snr_db)
+        exact_state = FleetState.from_base_snr(snr_db)
+        for shift_db in (0.0, -0.5, 0.5):
+            report = self.step_both(
+                fleet, exact, fleet_state, exact_state, snr_db + shift_db
+            )
+            assert report.n_fallback_links == snr_db.size
+            assert len(fleet._kept) == 0
+
+    @_hysteresis_constraints
+    def test_policy_hysteresis_evaluates_no_link(
+        self, monkeypatch, constraints
+    ):
+        # Configured links on, above and below the axis read their current
+        # objective out of kept planes: the policy step never evaluates.
+        rng = np.random.default_rng(30)
+        base_snr_db = np.concatenate(
+            [
+                rng.uniform(-8.0, 38.0, 40),
+                rng.uniform(41.0, 50.0, 10),
+                rng.uniform(-20.0, -11.0, 10),
+                [math.nan],
+            ]
+        )
+        policy = FleetEngine(grid=SMALL_GRID, constraints=constraints)
+        exact = FleetEngine(
+            grid=SMALL_GRID, constraints=constraints, use_policy=False
+        )
+        policy_state = FleetState.from_base_snr(base_snr_db)
+        exact_state = FleetState.from_base_snr(base_snr_db)
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("policy-mode hysteresis evaluated a link")
+
+        n_configured_off_axis = 0
+        for _ in range(6):
+            snr_db = base_snr_db + rng.normal(0.0, 1.5, base_snr_db.size)
+            policy_state.snr_db = snr_db.copy()
+            exact_state.snr_db = snr_db.copy()
+            configured = policy_state.config_index >= 0
+            off_axis = (snr_db > 40.2) | (snr_db < -10.2)
+            n_configured_off_axis += int(np.count_nonzero(configured & off_axis))
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    engine_module, "evaluate_metric_planes", no_evaluation
+                )
+                got = policy.step(policy_state)
+            want = exact.step(exact_state)
+            np.testing.assert_array_equal(got.config_index, want.config_index)
+            assert np.array_equal(
+                got.objective_value, want.objective_value, equal_nan=True
+            )
+        assert configured[:40].any()
+        assert n_configured_off_axis > 0
 
 
 #: On-axis bin centres, jittered in-bin SNRs, exact bin edges (half a

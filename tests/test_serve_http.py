@@ -14,6 +14,7 @@ import pytest
 from repro.core.optimization import TuningGrid
 from repro.serve import Oracle, OracleService, make_server
 from repro.serve.http import MAX_BODY_BYTES
+from repro.serve.protocol import parse_recommend
 
 TINY_GRID = TuningGrid(
     ptx_levels=(3, 31),
@@ -200,6 +201,36 @@ class TestNonFiniteMetrics:
         assert path["energy_uj_per_bit"] is None
         assert path["loss_prob"] == 1.0
         assert path["feasible"] is False
+
+
+#: A finite SNR whose policy bin number overflows (1e308 / 0.25 is inf).
+OVERFLOWING_LINK = {"snr_db": 1e308}
+
+
+class TestOverflowingSnrBin:
+    """A policy oracle answers such a link from its exact table."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "constraints", [[], [{"objective": "delay", "max": 60.0}]]
+    )
+    def test_recommend_matches_the_uncached_solve(self, constraints):
+        payload = {"link": OVERFLOWING_LINK, "constraints": constraints}
+        want = Oracle(grid=TINY_GRID, policy=True).uncached_recommend(
+            parse_recommend(payload)
+        )
+        for http_server in serving(policy=True):
+            status, body = post(http_server, "/v1/recommend", payload)
+            assert status == 200
+            assert body["recommendation"]["config"] == want.config.as_dict()
+            status, body = post(
+                http_server,
+                "/v1/fleet/recommend",
+                {"links": [OVERFLOWING_LINK], "constraints": constraints},
+            )
+            assert status == 200
+            (result,) = body["results"]
+            assert result["recommendation"]["config"] == want.config.as_dict()
 
 
 class TestOperationalEndpoints:
