@@ -16,6 +16,7 @@ so the same distance always sees the same hallway.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
@@ -105,8 +106,7 @@ class LogNormalShadowing:
         if distance_m in self.position_offsets_db:
             return float(self.position_offsets_db[distance_m])
         seed = int(round(distance_m * 1000.0)) & 0xFFFFFFFF
-        rng = np.random.default_rng(seed)
-        return float(rng.normal(0.0, self.sigma_db))
+        return _seeded_offset_db(seed, self.sigma_db)
 
     def loss_db(self, distance_m: float) -> float:
         """Total path loss including the position's shadowing offset (dB)."""
@@ -115,6 +115,16 @@ class LogNormalShadowing:
     def mean_rssi_dbm(self, tx_power_dbm: float, distance_m: float) -> float:
         """Long-run mean RSSI at the receiver for a given TX power (dBm)."""
         return tx_power_dbm - self.loss_db(distance_m)
+
+
+@functools.lru_cache(maxsize=4096)
+def _seeded_offset_db(seed: int, sigma_db: float) -> float:
+    """One N(0, σ) draw seeded by a position.
+
+    Memoized: building the generator costs ~14 µs, and the serve tier
+    resolves the same link distances on every fleet request.
+    """
+    return float(np.random.default_rng(seed).normal(0.0, sigma_db))
 
 
 def fit_path_loss(

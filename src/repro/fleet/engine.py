@@ -6,11 +6,12 @@ output-power offset ``P_out(p) − P_out(31)``, so the whole fleet shares
 one knob-column grid and differs only by a per-link scalar. One step
 
 1. quantizes the fleet's SNR column to ``snr_quantum_db`` bins (0 keeps
-   exact values); a link with a non-finite SNR has no answer and is
-   marked infeasible;
-2. gathers each on-axis link's answer out of a lazily compiled
-   :class:`~repro.core.optimization.PolicyTable` — one ``np.take`` per
-   answer column, no solve;
+   exact values; an SNR whose bin number overflows, say 1e308 dB, stays
+   exact too, :func:`~repro.core.optimization.snr_bin`'s rule); a link
+   with a non-finite SNR has no answer and is marked infeasible;
+2. gathers each on-axis link's answer out of a lazily compiled (or
+   given) :class:`~repro.core.optimization.PolicyTable` — one
+   ``np.take`` per answer column, no solve;
 3. answers the remaining (off-axis) links per distinct quantized SNR
    from a store of at most :data:`KEPT_ROWS` rows, each an SNR's best
    index with its objective and feasibility planes. An SNR the store
@@ -23,12 +24,12 @@ one knob-column grid and differs only by a per-link scalar. One step
 4. applies **hysteresis**: a configured link switches only when the
    objective improves on its current configuration (at the new SNR) by
    more than ``hysteresis`` relative — the paper's "don't chase noise"
-   guideline at fleet scale. A link answered from kept planes (the
-   table's, :meth:`PolicyTable.take_planes`, or the store's) reads its
-   current configuration's objective and feasibility out of them; a
-   link solved without planes is evaluated with
-   ``evaluate_metric_planes``. A link with a non-finite SNR is
-   evaluated nowhere: it is infeasible either way.
+   guideline at fleet scale. A configured link answered from kept
+   planes (the table's, :meth:`PolicyTable.take_planes`, or the
+   store's) reads its current configuration's objective and feasibility
+   out of them; a link solved without planes is evaluated with
+   ``evaluate_metric_planes``. Unconfigured links and links with a
+   non-finite SNR are evaluated nowhere.
 
 With ``use_policy=False`` or ``snr_quantum_db=0`` there is no table and
 no store, so every link is off-axis and steps 3 and 4 solve and evaluate
@@ -46,7 +47,7 @@ finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +70,7 @@ from ..core.optimization import (
     snr_map_from_reference,
     solve_rows,
 )
-from ..errors import FleetError
+from ..errors import FleetError, InfeasibleError
 from .state import FleetState
 
 __all__ = [
@@ -98,6 +99,9 @@ class FleetStepReport:
     objective_value: np.ndarray
     reconfigured: np.ndarray
     infeasible: np.ndarray
+    #: The quantized reference-level SNR each link was answered at
+    #: (NaN or inf where the link's SNR is not finite).
+    snr_db: np.ndarray
     n_policy_links: int = 0
     n_fallback_links: int = 0
     #: Routed-engine extensions — zero/NaN placeholders on plain fleet
@@ -140,7 +144,9 @@ class FleetEngine:
     The evaluator only contributes its fitted sub-models (SNR enters
     through the explicit planes), so the default — built from the paper's
     reference map — serves any fleet; pass a re-fitted evaluator to tune
-    against different empirical models.
+    against different empirical models. ``policy`` steps over a table
+    compiled elsewhere (same objective, constraints, quantum and grid
+    size); without kept planes it serves only unconfigured links.
     """
 
     def __init__(
@@ -153,6 +159,7 @@ class FleetEngine:
         snr_quantum_db: float = 0.25,
         strict: bool = False,
         use_policy: bool = True,
+        policy: Optional[PolicyTable] = None,
     ) -> None:
         check_objectives(objective, constraints, error=FleetError)
         if hysteresis < 0:
@@ -177,8 +184,18 @@ class FleetEngine:
         #: Policy lookups need a finite bin axis; quantum 0 means "solve
         #: exact SNRs", which cannot be tabulated.
         self.use_policy = bool(use_policy) and self.snr_quantum_db > 0.0
-        self._policy: Optional[PolicyTable] = None
         self._knobs = grid_knob_columns(self.grid)
+        if policy is not None and (
+            not self.use_policy
+            or (policy.objective, policy.constraints, policy.snr_quantum_db)
+            != (self.objective, self.constraints, self.snr_quantum_db)
+            or policy.n_configs != len(self)
+        ):
+            raise FleetError(
+                f"policy table {policy.stats()} does not match this "
+                f"policy-mode engine's objective, bounds, quantum or grid"
+            )
+        self._policy = policy
         #: Per-configuration SNR offset from the reference level (dB).
         self._offset_db = level_offset_lut_db(self._knobs[0])[self._knobs[0]]
         #: Off-axis rows solved so far (policy mode): quantized SNR → row
@@ -218,9 +235,9 @@ class FleetEngine:
     def policy_table(self) -> Optional[PolicyTable]:
         """The compiled policy, or None when the exact path is in use.
 
-        Compiled lazily on first access — one blocked pass over the whole
-        SNR axis, after which every on-axis link is gather-only. The
-        table keeps its objective and feasibility planes for hysteresis.
+        Unless one was given, compiled lazily on first access — one
+        blocked pass over the whole SNR axis, after which every on-axis
+        link is gather-only. It keeps its planes for hysteresis.
         """
         if not self.use_policy:
             return None
@@ -234,6 +251,21 @@ class FleetEngine:
                 keep_planes=True,
             )
         return self._policy
+
+    def infeasible_errors(self, snr_db: np.ndarray) -> List[InfeasibleError]:
+        """The solver's :class:`InfeasibleError` at each quantized SNR.
+
+        One row solve per distinct SNR yields the per-constraint minima
+        :func:`~repro.core.optimization.solve_epsilon_constraint` reports.
+        """
+        unique_snr_db, inverse = np.unique(snr_db, return_inverse=True)
+        best = self._solve(unique_snr_db).constraint_best
+        return [
+            infeasible_error(
+                self.constraints, lambda name, row=row: float(best[name][row])
+            )
+            for row in inverse.tolist()
+        ]
 
     def _solve(
         self, snr_db: np.ndarray, keep_planes: bool = False
@@ -298,10 +330,16 @@ class FleetEngine:
         rest (links solved this step and links with a non-finite SNR).
         Both are 0 in exact mode.
         """
-        quantized_snr_db = quantize_snr_db(state.snr_db, self.snr_quantum_db)
-        finite = np.isfinite(quantized_snr_db)
+        with np.errstate(over="ignore"):
+            snr_db = quantize_snr_db(state.snr_db, self.snr_quantum_db)
+        finite = np.isfinite(snr_db)
+        quantized_snr_db = snr_db
         if not finite.all():
-            if self.strict:
+            # A finite SNR whose bin number overflows (1e308 dB) stays
+            # exact, snr_bin's rule, and is solved at its own float key.
+            snr_db = np.where(finite, snr_db, state.snr_db)
+            finite = np.isfinite(snr_db)
+            if self.strict and not finite.all():
                 first = int(np.argmin(finite))
                 raise FleetError(
                     f"link {first} has a non-finite SNR "
@@ -309,7 +347,7 @@ class FleetEngine:
                 )
             # Keep NaN/inf out of the bin cast, np.unique and the planes;
             # those lanes stay infeasible.
-            quantized_snr_db = np.where(finite, quantized_snr_db, 0.0)
+            quantized_snr_db = np.where(finite, snr_db, 0.0)
 
         # The one candidate path: links on the policy axis gather their
         # bin's answer, every other finite link its distinct quantized
@@ -332,7 +370,7 @@ class FleetEngine:
             # A finite SNR past the int64 bin range (say 1e300 dB) casts
             # to a bin far off the axis; its answer comes from its own
             # float key below.
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):
                 local = policy.local_bins(quantized_snr_db)
             on_axis = finite & policy.in_axis(local)
             bins = local[on_axis]
@@ -341,9 +379,13 @@ class FleetEngine:
                 candidate_objective[on_axis],
                 feasible[on_axis],
             ) = policy.take(bins)
-            current_objective[on_axis], current_feasible[on_axis] = (
-                policy.take_planes(bins, config_index[on_axis])
-            )
+            # An unconfigured link adopts its candidate whatever its
+            # current objective, so a table without planes serves it.
+            planes = on_axis & configured
+            if planes.any():
+                current_objective[planes], current_feasible[planes] = (
+                    policy.take_planes(local[planes], config_index[planes])
+                )
             n_unique_bins = int(np.count_nonzero(np.bincount(bins)))
         off_axis = finite & ~on_axis
         if off_axis.any():
@@ -390,11 +432,7 @@ class FleetEngine:
             n_unique_bins += int(unique_snr_db.size)
         if self.strict and not feasible.all():
             first = int(np.argmin(feasible))
-            answers = self._solve(quantized_snr_db[first : first + 1])
-            raise infeasible_error(
-                self.constraints,
-                lambda name: float(answers.constraint_best[name][0]),
-            )
+            raise self.infeasible_errors(quantized_snr_db[first : first + 1])[0]
 
         # Lanes with no feasible candidate carry inf/nan here; their
         # comparison result is discarded by the ~feasible select below.
@@ -428,6 +466,7 @@ class FleetEngine:
             objective_value=new_objective,
             reconfigured=reconfigured,
             infeasible=infeasible,
+            snr_db=snr_db,
             # Without a table there is nothing to gather or fall back from.
             n_policy_links=n_gathered if policy is not None else 0,
             n_fallback_links=n_links - n_gathered if policy is not None else 0,

@@ -43,7 +43,6 @@ from ..core.optimization import (
     Constraint,
     ModelEvaluator,
     evaluate_metric_planes,
-    quantize_snr_db,
 )
 from ..errors import RoutingError
 from ..fleet.engine import FleetEngine, FleetStepReport
@@ -210,11 +209,10 @@ class RoutedFleetEngine:
         report = self.engine.step(state, step_index=step_index)
         engine = self.engine
         link_up = report.config_index >= 0
-        # Evaluated at the quantized SNR the candidate solve used; a link
-        # with no feasible configuration is evaluated at row 0.
+        # Evaluated at the SNR the candidate solve used; a link with no
+        # feasible configuration is evaluated at row 0.
         inputs = engine.metric_inputs(
-            np.where(link_up, report.config_index, 0),
-            quantize_snr_db(state.snr_db, engine.snr_quantum_db),
+            np.where(link_up, report.config_index, 0), report.snr_db
         )
         paths, load, energy = routed_paths(
             table, engine.evaluator, inputs, link_up

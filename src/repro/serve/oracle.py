@@ -5,51 +5,37 @@ A link's table is its entire evaluated tuning grid — the columnar
 :func:`~repro.core.optimization.evaluate_grid_columns` returns, cached as
 is — so both the build (one broadcast pass over all configurations) and
 the epsilon-constraint solve of a query (a masked argmin) are numpy
-operations rather than Python scans. An :class:`Oracle` answers
-``recommend`` and ``evaluate`` requests; each recommend answer names one
-of four cache tiers:
+operations rather than Python scans. Each ``recommend`` answer names
+one of four cache tiers:
 
 * ``policy`` (opt-in) — compiled answers, no solver. A recommend
   without constraints reads its objective's
-  :class:`~repro.core.optimization.PolicyTable`, which covers the whole
-  SNR axis: an O(1) bin lookup, independent of grid size. A recommend
-  with exactly one constraint bound reads its SNR bin's
-  :class:`~repro.core.optimization.ConstraintStaircases`: a
-  ``searchsorted`` over that (objective, constraint) pair's steps and
-  one gather;
+  :class:`~repro.core.optimization.PolicyTable` bin; one with exactly
+  one bound reads its SNR bin's
+  :class:`~repro.core.optimization.ConstraintStaircases`, built lazily
+  for all 36 (objective, constraint) pairs from the table its bin's
+  first single-bound request fetches (~42 KB a bin, axis bins only);
 * ``precomputed`` — tables for the discretized Table-I distances,
   built once at startup (``precompute``) and never evicted;
-* ``lru`` — tables for off-grid links (arbitrary distances,
-  reference-SNR links), built on first use and bounded by
+* ``lru`` — tables for other links, built on first use and bounded by
   ``lru_capacity``;
 * ``miss`` — a table built for this answer, then kept in the LRU.
 
-A cold query costs one columnar grid evaluation (single-digit
-milliseconds for the default 4560 configurations — the ``grid_eval_ms``
-histogram in ``/metrics`` tracks the real cost); a warm one costs a
-dictionary lookup plus a vectorized argmin (microseconds); a policy hit
-costs a handful of array reads. The service layer on top batches
-compatible cold queries so the grid evaluation is paid once per link,
-not once per request.
+A cold query costs one grid evaluation (milliseconds; ``grid_eval_ms``
+in ``/metrics``), a warm one a dictionary lookup and an argmin, a policy
+hit a few array reads. With the policy enabled the LRU serves what the
+compiled tiers cannot (two or more bounds, off-axis SNRs, constrained
+distance links), and reference-SNR cache keys are quantized to the
+policy bin of the link's level-31 SNR
+(:func:`~repro.serve.protocol.link_base_snr_db`), so requests 0.01 dB
+apart share one table (``bin_hit_rate``); such answers are the bin
+centre's.
 
-Staircases are built lazily, per bin and for all 36 (objective,
-constraint) pairs at once: a bin's first single-bound request fetches
-the bin's table through :meth:`Oracle.table_for` (and reports that
-fetch's tier), builds every pair's staircases from it (a few
-milliseconds) and keeps them for the oracle's life. Only bins on the
-policy axis get staircases, so the axis bounds their memory (~42 KB a
-bin, ~8.5 MB for all 201 bins at 4560 configurations).
-
-With the policy enabled the LRU is demoted to a fallback for requests
-the compiled tiers cannot serve — more than one constraint bound,
-SNRs off the compiled axis, a constrained distance link — and for the
-first single-bound request of each bin. Reference-SNR cache keys are
-quantized to the policy bin, so two requests 0.01 dB apart share one
-table instead of missing each other (``bin_hit_rate`` in
-``/metrics``); both bins are of the link's level-31 SNR
-(:func:`~repro.serve.protocol.link_base_snr_db`). Answers for quantized
-links are the bin-center answers: exact at bin centers, and within the
-same quantization the fleet engine applies everywhere.
+A fleet batch is one stateless :class:`~repro.fleet.engine.FleetEngine`
+step (:meth:`Oracle.recommend_fleet`), so its answers are the engine's
+at each link's level-31 SNR quantized at ``snr_quantum_db``, whatever
+the ``policy`` flag, and it builds no grid table. A link's tier is
+``policy`` when gathered from a compiled table, ``exact`` when solved.
 """
 
 # reprolint: hot-path — recommend/evaluate loop timed by perf/run.py http-mixed
@@ -58,13 +44,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..channel.environment import Environment, HALLWAY_2012
-from ..config import TABLE_I_SPACE, StackConfig
-from ..errors import InfeasibleError, ProtocolError, ReproError, RoutingError
+from ..config import TABLE_I_SPACE
+from ..errors import ProtocolError, ReproError, RoutingError
 from ..core.optimization import (
     DEFAULT_SNR_QUANTUM_DB,
     DEFAULT_SNR_RANGE_DB,
@@ -75,12 +61,12 @@ from ..core.optimization import (
     PolicyTable,
     TuningGrid,
     evaluate_grid_columns,
+    evaluate_metric_planes,
     snr_axis_bins,
     snr_bin,
-    snr_map_from_reference,
     solve_epsilon_constraint,
 )
-from ..core.optimization.kernels import KNOB_COLUMNS
+from ..core.optimization.evaluate import EVALUATION_METRICS
 from .cache import CacheStats, LruCache
 from .metrics import DEFAULT_BUCKETS_MS, LatencyHistogram
 from .protocol import (
@@ -93,11 +79,15 @@ from .protocol import (
     link_base_snr_db,
 )
 
+if TYPE_CHECKING:
+    from ..fleet.engine import FleetEngine
+
 __all__ = [
     "TIER_POLICY",
     "TIER_PRECOMPUTED",
     "TIER_LRU",
     "TIER_MISS",
+    "TIER_EXACT",
     "RecommendResult",
     "FleetRecommendResult",
     "FleetRoutingSummary",
@@ -109,6 +99,8 @@ TIER_POLICY = "policy"
 TIER_PRECOMPUTED = "precomputed"
 TIER_LRU = "lru"
 TIER_MISS = "miss"
+#: A fleet link answered by the row solver, not gathered from a policy.
+TIER_EXACT = "exact"
 
 #: One :meth:`Oracle.recommend_batch` answer: the evaluation or the
 #: error, and its tier (None when the shared table fetch failed).
@@ -180,8 +172,8 @@ class FleetRecommendResult:
     evaluations: Tuple[Optional[ConfigEvaluation], ...]
     errors: Tuple[Optional[str], ...]
     cache_tiers: Tuple[str, ...]
-    #: Distinct cache keys in the batch = grid tables fetched (and, for
-    #: shared objectives, vectorized solves run) to answer it.
+    #: Distinct quantized level-31 SNRs in the batch: the rows its engine
+    #: step answered from (duplicates and same-bin links share one).
     n_unique_links: int = 0
     #: Path composition over the request's routing block, when present.
     routing: Optional[FleetRoutingSummary] = None
@@ -251,6 +243,10 @@ class Oracle:
             if self.policy and self.snr_quantum_db > 0
             else range(0)
         )
+        #: objective → the fleet engine over that objective's policy,
+        #: stepped under ``_fleet_lock`` (a step writes its kept rows).
+        self._fleet_engines: Dict[str, "FleetEngine"] = {}
+        self._fleet_lock = threading.Lock()
         #: Cold grid-evaluation latency (ms), one observation per table
         #: build. The service layer registers this into ``/metrics`` as
         #: ``grid_eval_ms`` so cache-miss cost is visible in production.
@@ -586,56 +582,88 @@ class Oracle:
     def recommend_fleet(
         self, request: FleetRecommendRequest
     ) -> FleetRecommendResult:
-        """Answer a whole fleet batch with one solve per *distinct* link.
+        """Answer a whole fleet batch with one stateless fleet-engine step.
 
-        Links are grouped by cache key and each distinct link is answered
-        by one :meth:`recommend_batch` call — the shared objective and
-        constraints make every duplicate link a pure scatter. A link with
-        no feasible configuration records its
-        :class:`~repro.errors.InfeasibleError` message in-band; any other
-        failure aborts the batch.
+        A policy oracle steps unconstrained batches on one engine per
+        objective over :meth:`policy_for`'s table; every other batch is
+        one exact-mode step on an engine built for it. The chosen
+        configurations are evaluated in one plane call; a link with no
+        feasible configuration records its
+        :class:`~repro.errors.InfeasibleError` message in-band.
         """
-        distinct: Dict[Tuple[object, ...], LinkSpec] = {}
-        for link in request.links:
-            distinct.setdefault(link.key(), link)
-        answers: Dict[Tuple[object, ...], Tuple[
-            Optional[ConfigEvaluation], Optional[str], Optional[str]
-        ]] = {}
-        for key, link in distinct.items():
-            single = RecommendRequest(
-                link, request.objective, request.constraints
-            )
-            ((outcome, tier),) = self.recommend_batch((single,))
-            if isinstance(outcome, InfeasibleError):
-                answers[key] = (None, str(outcome), tier)
-            elif isinstance(outcome, ReproError):
-                raise outcome
-            else:
-                answers[key] = (outcome, None, tier)
-        evaluations, errors, tiers = zip(
-            *(answers[link.key()] for link in request.links)
+        # Deferred: the fleet package imports serve.protocol.
+        from ..fleet.engine import FleetEngine
+        from ..fleet.state import FleetState
+
+        links = request.links
+        state = FleetState.from_base_snr(
+            [link_base_snr_db(link, self.environment) for link in links]
         )
+        options = dict(
+            grid=self.grid,
+            objective=request.objective,
+            snr_quantum_db=self.snr_quantum_db,
+        )
+        if self._axis_bins and not request.constraints:
+            with self._fleet_lock:
+                engine = self._fleet_engines.get(request.objective)
+                if engine is None:
+                    engine = self._fleet_engines[request.objective] = FleetEngine(
+                        policy=self.policy_for(request.objective), **options
+                    )
+                report = engine.step(state)
+        else:
+            engine = FleetEngine(
+                constraints=request.constraints, use_policy=False, **options
+            )
+            report = engine.step(state)
+        snr_db = report.snr_db
+        link_up = report.config_index >= 0
+        inputs = engine.metric_inputs(
+            np.where(link_up, report.config_index, 0), snr_db
+        )
+        metrics = evaluate_metric_planes(engine.evaluator, **inputs)
+        columns = {name: metrics[name].tolist() for name in EVALUATION_METRICS}
+        messages = iter(engine.infeasible_errors(snr_db[~link_up]))
+        table = engine.policy_table()
+        evaluations, errors, tiers = [], [], []
+        for row, (link, index, snr) in enumerate(
+            zip(links, report.config_index.tolist(), snr_db.tolist())
+        ):
+            if index < 0:
+                evaluations.append(None)
+                errors.append(str(next(messages)))
+            else:
+                config = engine.config_at(index, link.grid_distance_m())
+                evaluations.append(ConfigEvaluation.from_columns(config, columns, row))
+                errors.append(None)
+            gathered = table is not None and table.covers(snr)
+            tiers.append(TIER_POLICY if gathered else TIER_EXACT)
         routing = None
         if request.routing is not None:
-            routing = self._routed_summary(request.routing, evaluations)
+            routing = self._routed_summary(
+                request.routing, engine.evaluator, inputs, link_up
+            )
         return FleetRecommendResult(
-            evaluations=evaluations,
-            errors=errors,
-            cache_tiers=tiers,
-            n_unique_links=len(distinct),
+            evaluations=tuple(evaluations),
+            errors=tuple(errors),
+            cache_tiers=tuple(tiers),
+            n_unique_links=report.n_unique_snr_bins,
             routing=routing,
         )
 
     def _routed_summary(
         self,
         spec: RoutingSpec,
-        evaluations: Sequence[Optional[ConfigEvaluation]],
+        evaluator: ModelEvaluator,
+        inputs: Dict[str, np.ndarray],
+        link_up: np.ndarray,
     ) -> FleetRoutingSummary:
         """Compose the batch's per-link answers into path-level metrics.
 
         Runs the routing engine's own stage,
         :func:`~repro.routing.engine.routed_paths`, over the answers'
-        knobs and SNRs on the tree over the routing block's edges, so
+        metric inputs on the tree over the routing block's edges, so
         path loss and delay include relay congestion. An infeasible link
         is a dead hop (PLR 1, zero goodput). A routing block the tree
         builder rejects (disconnected components, self-loops, a bad sink)
@@ -651,22 +679,7 @@ class Oracle:
             table = build_routes(spec.n_nodes, spec.edges, spec.sink, spec.strategy)
         except RoutingError as exc:
             raise ProtocolError(f"bad routing block: {exc}") from exc
-        # An infeasible link is evaluated at the default configuration and
-        # masked out; the fitted models are the policy tables' defaults.
-        configs, snr_db = zip(*(
-            (e.config, e.snr_db) if e is not None else (StackConfig(), 0.0)
-            for e in evaluations
-        ))
-        inputs = {
-            knob: np.array([getattr(config, knob) for config in configs])
-            for knob in KNOB_COLUMNS
-        }
-        paths, _, _ = routed_paths(
-            table,
-            ModelEvaluator(snr_by_level=snr_map_from_reference(0.0)),
-            dict(inputs, snr_db=np.array(snr_db)),
-            np.array([e is not None for e in evaluations]),
-        )
+        paths, _, _ = routed_paths(table, evaluator, inputs, link_up)
         leaves = paths.leaf_nodes
         feasible = paths.leaf_feasible(spec.max_path_loss)
         rows = None

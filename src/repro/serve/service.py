@@ -435,10 +435,10 @@ class OracleService:
     def _run_fleet(self, pending: _Pending) -> None:
         """Answer one fleet batch (never coalesced: a batch is the batch).
 
-        The oracle groups the batch by distinct link internally; this layer
+        The oracle answers the batch in one fleet-engine step; this layer
         only adds accounting — how many links arrived, how many had no
-        feasible configuration, which cache tiers answered, and how long
-        the whole batched solve took.
+        feasible configuration, which tiers answered, and how long the
+        whole batched solve took.
         """
         request = pending.request
         assert isinstance(request, FleetRecommendRequest)

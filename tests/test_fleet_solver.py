@@ -24,7 +24,7 @@ from repro.core.optimization import (
     solve_epsilon_constraint,
     solve_rows,
 )
-from repro.errors import FleetError, InfeasibleError
+from repro.errors import FleetError, InfeasibleError, OptimizationError
 from repro.fleet import FleetEngine, FleetState
 from repro.fleet import engine as engine_module
 from repro.fleet.engine import KEPT_ROWS
@@ -177,6 +177,101 @@ class TestNonFiniteSnr:
             assert report.n_paths_feasible == table.n_paths - 1
             assert routed.last_paths.delivery_prob[3] == 0.0
             assert np.isfinite(report.network_energy_uj_per_bit)
+
+
+class TestOverflowingSnrBin:
+    """A finite SNR whose bin number overflows stays exact (snr_bin's rule).
+
+    Any overflow warning but the link models' own ``exp`` at −1e308 dB
+    (binning such an SNR used to warn in ``divide``) fails the test.
+    """
+
+    @pytest.mark.filterwarnings("error:overflow encountered in (?!exp)")
+    @pytest.mark.parametrize("use_policy", [True, False], ids=["policy", "exact"])
+    @pytest.mark.parametrize(
+        "constraints",
+        [(), (Constraint("delay", 60.0),)],
+        ids=["unconstrained", "constrained"],
+    )
+    def test_solved_at_its_own_snr(self, use_policy, constraints):
+        state = FleetState.from_base_snr([1e308, -1e308, 5.0])
+        fleet = engine(use_policy, constraints=constraints, strict=True)
+        report = fleet.step(state)
+        assert report.n_unique_snr_bins == 3
+        for link, snr_db in enumerate((1e308, -1e308)):
+            config, value = exact_answer(snr_db, "energy", constraints)
+            assert fleet.config_at(int(report.config_index[link])) == config
+            assert state.objective_value[link] == value
+
+    @pytest.mark.filterwarnings("error:overflow encountered in (?!exp)")
+    @pytest.mark.parametrize("use_policy", [True, False], ids=["policy", "exact"])
+    def test_strict_mode_raises_the_solvers_infeasible_error(self, use_policy):
+        constraints = (Constraint("loss", 1e-30),)
+        for snr_db in (1e308, -1e308):
+            evaluator = ModelEvaluator(
+                snr_by_level=snr_map_from_reference(snr_db)
+            )
+            with pytest.raises(InfeasibleError) as scalar:
+                solve_epsilon_constraint(
+                    evaluate_grid_columns(evaluator, SMALL_GRID, 10.0),
+                    "energy",
+                    constraints,
+                )
+            with pytest.raises(InfeasibleError) as fleet:
+                engine(use_policy, constraints=constraints, strict=True).step(
+                    FleetState.from_base_snr([snr_db, 5.0])
+                )
+            assert str(fleet.value) == str(scalar.value)
+
+
+class TestGivenPolicyTable:
+    """An engine can step over a table compiled elsewhere."""
+
+    def table(self, **kwargs):
+        options = dict(
+            grid=SMALL_GRID, snr_quantum_db=QUANTUM_DB, snr_range_db=AXIS_DB
+        )
+        options.update(kwargs)
+        return PolicyTable.compile(**options)
+
+    def test_fresh_state_on_a_table_without_planes(self):
+        snr_db = [1.0, 4.5, 9.0, OFF_AXIS_HIGH_DB]
+        fleet = FleetEngine(
+            grid=SMALL_GRID, snr_quantum_db=QUANTUM_DB, policy=self.table()
+        )
+        got = fleet.step(FleetState.from_base_snr(snr_db))
+        want = engine(False).step(FleetState.from_base_snr(snr_db))
+        np.testing.assert_array_equal(got.config_index, want.config_index)
+        np.testing.assert_array_equal(got.objective_value, want.objective_value)
+        assert got.n_policy_links == 3
+        # A configured on-axis link needs the planes the table lacks.
+        with pytest.raises(OptimizationError, match="keep_planes"):
+            fleet.step(
+                FleetState(
+                    base_snr_db=[4.5],
+                    snr_db=[4.5],
+                    noise_dbm=[-90.0],
+                    config_index=[0],
+                    objective_value=[0.0],
+                )
+            )
+
+    @pytest.mark.parametrize(
+        "table_kwargs, engine_kwargs",
+        [
+            ({"objective": "delay"}, {}),
+            ({"constraints": (Constraint("loss", 0.1),)}, {}),
+            ({}, {"snr_quantum_db": 0.25}),
+            ({"grid": TuningGrid(ptx_levels=(3, 31))}, {}),
+            ({}, {"use_policy": False}),
+        ],
+        ids=["objective", "constraints", "quantum", "grid", "exact-mode"],
+    )
+    def test_a_mismatched_table_is_rejected(self, table_kwargs, engine_kwargs):
+        options = dict(grid=SMALL_GRID, snr_quantum_db=QUANTUM_DB)
+        options.update(engine_kwargs)
+        with pytest.raises(FleetError, match="does not match this policy-mode"):
+            FleetEngine(policy=self.table(**table_kwargs), **options)
 
 
 class TestOffAxisAnswersKept:

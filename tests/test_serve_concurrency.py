@@ -1,8 +1,9 @@
 """Threaded stress tests for repro.serve's shared-state primitives.
 
 These tests hammer :class:`LruCache`, :class:`ServiceMetrics` /
-:class:`LatencyHistogram`, :class:`_Pending` and the oracle's per-bin
-constraint staircases from many threads at once and compare the final counters against a single-threaded ground
+:class:`LatencyHistogram`, :class:`_Pending`, the oracle's per-bin
+constraint staircases and its fleet engine's kept rows from many threads
+at once and compare the final counters against a single-threaded ground
 truth. They are the runtime complement of the RPR201/RPR202 static
 checks: the linter proves every access is inside a critical section, and
 these tests prove the critical sections compose into the documented
@@ -21,7 +22,8 @@ import pytest
 
 from repro.core.optimization import Constraint, TuningGrid
 from repro.errors import ServeError
-from repro.serve import LinkSpec, Oracle, RecommendRequest
+from repro.fleet import FleetEngine, FleetState
+from repro.serve import FleetRecommendRequest, LinkSpec, Oracle, RecommendRequest
 from repro.serve.cache import LruCache
 from repro.serve.metrics import LatencyHistogram, ServiceMetrics
 from repro.serve.service import _Pending
@@ -104,6 +106,62 @@ class TestOracleStaircasesUnderContention:
         assert info["staircase_bins"] == 4
         assert info["lookups"] == 8 * rounds * len(requests)
         assert (info["fallbacks"], info["solver_solves"]) == (0, 0)
+
+
+class TestOracleFleetEngineUnderContention:
+    def test_kept_rows_dropped_mid_run_keep_every_answer_exact(self):
+        # Two threads send fleet batches of distinct off-axis SNRs to one
+        # policy oracle, 320 in all against the engine's 256 kept rows,
+        # so its store is dropped mid-run. Every answer must still be the
+        # exact-mode engine's.
+        grid = TuningGrid(
+            ptx_levels=(3, 15, 31),
+            payload_values_bytes=(20, 65, 110),
+            n_max_tries_values=(1, 3),
+        )
+        oracle = Oracle(grid=grid, policy=True)
+        batches = [
+            [sign * (40.5 + 0.25 * (40 * batch + k)) for k in range(40)]
+            + [6.0, 12.5]
+            for sign in (1.0, -1.0)
+            for batch in range(4)
+        ]
+        exact = FleetEngine(grid=grid, use_policy=False)
+        want = []
+        for snr_db in batches:
+            report = exact.step(FleetState.from_base_snr(snr_db))
+            want.append(
+                [
+                    (exact.config_at(index), value)
+                    for index, value in zip(
+                        report.config_index.tolist(),
+                        report.objective_value.tolist(),
+                    )
+                ]
+            )
+
+        def worker(index):
+            for _ in range(8):
+                for at in range(index * 4, index * 4 + 4):
+                    result = oracle.recommend_fleet(
+                        FleetRecommendRequest(
+                            links=tuple(
+                                LinkSpec(snr_db=snr) for snr in batches[at]
+                            )
+                        )
+                    )
+                    got = [
+                        (evaluation.config, evaluation.u_eng_uj_per_bit)
+                        for evaluation in result.evaluations
+                    ]
+                    assert got == want[at]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads(worker, n_threads=2)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestLruCacheUnderContention:

@@ -8,6 +8,7 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.optimization import (
     DEFAULT_SNR_QUANTUM_DB,
@@ -16,9 +17,10 @@ from repro.core.optimization import (
     grid_knob_columns,
     quantize_snr_db,
 )
+from repro.core.optimization.evaluate import OBJECTIVE_PLANES
 from repro.core.optimization.kernels import KNOB_COLUMNS
-from repro.errors import ProtocolError
-from repro.fleet import FleetState, grid_topology
+from repro.errors import InfeasibleError, ProtocolError
+from repro.fleet import FleetEngine, FleetState, grid_topology
 from repro.routing import RoutedFleetEngine, build_routes
 from repro.serve import (
     Client,
@@ -31,6 +33,7 @@ from repro.serve import (
     make_server,
     parse_fleet_recommend,
 )
+from repro.serve.protocol import json_safe, link_base_snr_db
 
 TINY_GRID = TuningGrid(
     ptx_levels=(3, 31),
@@ -105,14 +108,24 @@ class TestOracleFleet:
         result = oracle.recommend_fleet(request)
         assert len(result) == 10
         assert result.n_unique_links == 2
-        assert oracle.cache_info()["table_builds"] == 2
+        # One engine step answers the batch: no grid table is built.
+        assert oracle.cache_info()["table_builds"] == 0
 
     def test_matches_single_link_recommend(self):
+        # A link is answered at its level-31 SNR's bin: the 10 m link
+        # (40.325 dB) answers like an snr_db link at 40.25 dB. Both stamp
+        # the 10 m default distance on their configuration.
         oracle = Oracle(grid=TINY_GRID)
         links = (LinkSpec(distance_m=10.0), LinkSpec(snr_db=6.0))
         fleet = oracle.recommend_fleet(FleetRecommendRequest(links=links))
         for link, evaluation in zip(links, fleet.evaluations):
-            single = oracle.recommend(RecommendRequest(link=link))
+            snr_db = quantize_snr_db(
+                link_base_snr_db(link, oracle.environment),
+                oracle.snr_quantum_db,
+            )
+            single = oracle.recommend(
+                RecommendRequest(link=LinkSpec(snr_db=float(snr_db)))
+            )
             assert evaluation == single.evaluation
 
     def test_infeasible_link_reported_in_band(self):
@@ -129,16 +142,27 @@ class TestOracleFleet:
         for error in result.errors:
             assert "no configuration satisfies the constraints" in error
 
-    def test_tier_counts_track_cache_state(self):
-        oracle = Oracle(grid=TINY_GRID)
-        oracle.precompute([10.0])
+    @pytest.mark.parametrize(
+        "policy, tiers",
+        [(False, {"exact": 3}), (True, {"policy": 2, "exact": 1})],
+        ids=["exact", "policy"],
+    )
+    def test_tier_counts_do_not_depend_on_cache_state(self, policy, tiers):
+        # 22 m and 30 m sit on the policy axis, 0.5 m above it.
+        oracle = Oracle(grid=TINY_GRID, policy=policy)
+        oracle.precompute([22.0])
         request = FleetRecommendRequest(
-            links=(LinkSpec(distance_m=10.0), LinkSpec(distance_m=22.0))
+            links=(
+                LinkSpec(distance_m=22.0),
+                LinkSpec(distance_m=30.0),
+                LinkSpec(distance_m=0.5),
+            )
         )
         first = oracle.recommend_fleet(request)
-        assert first.tier_counts() == {"precomputed": 1, "miss": 1}
+        assert first.tier_counts() == tiers
         second = oracle.recommend_fleet(request)
-        assert second.tier_counts() == {"precomputed": 1, "lru": 1}
+        assert second.tier_counts() == tiers
+        assert second == first
 
 
 class TestClientAndService:
@@ -188,7 +212,7 @@ class TestClientAndService:
         assert counters["fleet_requests_total"] == 1
         assert counters["fleet_links_total"] == 3
         assert counters["fleet_infeasible_total"] == 0
-        assert counters["fleet_cache_miss_total"] == 3
+        assert counters["fleet_cache_exact_total"] == 3
         assert metrics["latency"]["fleet_batch_links"]["count"] == 1
         assert metrics["latency"]["fleet_batch_links"]["sum_count"] == 3.0
         assert metrics["latency"]["fleet_solve_ms"]["count"] == 1
@@ -427,3 +451,106 @@ class TestFleetRouting:
             {"links": [{"snr_db": 10.0}]}
         )
         assert "routing" not in unrouted
+
+
+#: Grid of the parity property: small enough to compile four policies
+#: and solve every draw exactly in well under a second each.
+PARITY_GRID = TuningGrid(
+    ptx_levels=(3, 15, 23, 31),
+    payload_values_bytes=(20, 65, 110),
+    n_max_tries_values=(1, 3),
+    q_max_values=(1, 30),
+)
+
+#: Constraint bounds the property draws from; the last two are
+#: unreachable on every link.
+PARITY_BOUNDS = (
+    {"objective": "loss", "max": 0.05},
+    {"objective": "delay", "max": 40.0},
+    {"objective": "energy", "max": 0.5},
+    {"objective": "rho", "max": 0.9},
+    {"objective": "loss", "max": 1e-30},
+    {"objective": "delay", "max": 0.001},
+)
+
+PARITY_LINKS = st.one_of(
+    st.fixed_dictionaries(
+        {"snr_db": st.floats(-10.0, 40.0)},
+        optional={"reference_level": st.sampled_from((3, 15, 23, 27))},
+    ),
+    st.builds(lambda snr: {"snr_db": snr}, st.floats(40.01, 70.0)),
+    st.builds(lambda snr: {"snr_db": snr}, st.floats(-40.0, -10.01)),
+    st.fixed_dictionaries({"distance_m": st.floats(0.5, 60.0)}),
+    st.sampled_from(({"snr_db": 1e308}, {"snr_db": -1e308})),
+)
+
+
+@pytest.fixture(scope="module")
+def parity_clients():
+    services = [
+        OracleService(Oracle(grid=PARITY_GRID, policy=policy), workers=1)
+        for policy in (True, False)
+    ]
+    yield [Client(service) for service in services]
+    for service in services:
+        service.close()
+
+
+class TestFleetParity:
+    """Both oracles answer like one exact-mode engine step, draw by draw."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(
+        links=st.lists(PARITY_LINKS, min_size=1, max_size=8),
+        duplicates=st.lists(st.integers(0, 7), max_size=4),
+        objective=st.sampled_from(("energy", "goodput", "delay", "loss")),
+        bounds=st.lists(
+            st.sampled_from(PARITY_BOUNDS), max_size=2, unique_by=str
+        ),
+    )
+    def test_oracles_answer_like_the_exact_engine(
+        self, parity_clients, links, duplicates, objective, bounds
+    ):
+        links = links + [links[i % len(links)] for i in duplicates]
+        payload = {"links": links, "objective": objective, "constraints": bounds}
+        constraints = [Constraint(b["objective"], b["max"]) for b in bounds]
+        specs = [LinkSpec(**link) for link in links]
+        environment = parity_clients[0].service.oracle.environment
+        base_snr_db = [link_base_snr_db(spec, environment) for spec in specs]
+        engine = FleetEngine(
+            grid=PARITY_GRID,
+            objective=objective,
+            constraints=constraints,
+            use_policy=False,
+        )
+        report = engine.step(FleetState.from_base_snr(base_snr_db))
+        key, sign = OBJECTIVE_PLANES[objective]
+        want = []
+        for spec, snr_db, index, value in zip(
+            specs, base_snr_db, report.config_index, report.objective_value
+        ):
+            if index < 0:
+                strict = FleetEngine(
+                    grid=PARITY_GRID,
+                    constraints=constraints,
+                    use_policy=False,
+                    strict=True,
+                )
+                with pytest.raises(InfeasibleError) as error:
+                    strict.step(FleetState.from_base_snr([snr_db]))
+                want.append(str(error.value))
+            else:
+                config = engine.config_at(int(index), spec.grid_distance_m())
+                want.append((config.as_dict(), json_safe(sign * float(value))))
+        for client in parity_clients:
+            got = [
+                row["error"]["message"]
+                if "error" in row
+                else (
+                    row["recommendation"]["config"],
+                    row["recommendation"][key],
+                )
+                for row in client.recommend_fleet(payload)["results"]
+            ]
+            assert got == want
