@@ -145,25 +145,40 @@ class SnrEstimator:
         order = np.argsort(link_index, kind="stable")
         links = link_index[order]
         values = snr_db[order]
+        del order
         new_segment = np.empty(len(links), dtype=bool)
         new_segment[0] = True
         np.not_equal(links[1:], links[:-1], out=new_segment[1:])
         starts = np.flatnonzero(new_segment)
-        counts = np.diff(np.append(starts, len(links)))
+        counts = np.diff(starts, append=len(links))
         leaders = links[starts]
         estimate = state.snr_db[leaders]
         if self.clamp_db is not None:
             center = np.repeat(estimate, counts)
-            values = np.clip(
-                values, center - self.clamp_db, center + self.clamp_db
+            np.clip(
+                values,
+                center - self.clamp_db,
+                center + self.clamp_db,
+                out=values,
             )
+            del center
         alpha = self.alpha
         decay = 1.0 - alpha
-        position = np.arange(len(links)) - np.repeat(starts, counts)
-        remaining = np.repeat(counts, counts) - 1 - position
-        weights = alpha * np.power(decay, remaining)
-        contribution = np.add.reduceat(weights * values, starts)
-        updated = np.power(decay, counts) * estimate + contribution
+        # Powers of the decay, one per batch up to the longest run: the
+        # same pow on the same inputs as a per-measurement power, so the
+        # gathered weights are bit-identical (and 0**0 == 1 at alpha 1).
+        powers = np.power(decay, np.arange(counts.max() + 1))
+        # Measurements still to come in the same link after each one.
+        remaining = np.repeat(starts + counts - 1, counts)
+        remaining -= np.arange(len(links))
+        weights = (alpha * powers[:-1])[remaining]
+        del remaining
+        weights *= values
+        contribution = np.add.reduceat(weights, starts)
+        del weights
+        updated = powers[counts]
+        updated *= estimate
+        updated += contribution
         state.snr_db[leaders] = updated
         self._updated_at_s[leaders] = now_s
         self._snr_at_update[leaders] = updated

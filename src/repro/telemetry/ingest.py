@@ -182,6 +182,7 @@ class TelemetryIngestor:
                 field="payload",
             )
         link, seq, snr_db = self._measurement_columns(columns, version)
+        del columns  # the decoded fields die before the apply's temporaries
         return self._apply(link, seq, snr_db, version, now_s, decode_ms)
 
     def ingest_uplinks(
@@ -300,81 +301,28 @@ class TelemetryIngestor:
             if len(link):
                 order = np.argsort(link, kind="stable")
                 links = link[order]
-                seqs = seq[order]
-                values = snr_db[order]
-                # Unwrap each wire sequence against its link's stored
-                # unwrapped maximum (serial arithmetic): the signed
-                # 16-bit distance from the anchor, so a 65535 → 0
-                # rollover reads as +1, not −65535. Links never heard
-                # from have no anchor and use the raw sequence (epoch 0).
-                anchors = self._last_seq[links]
-                known_anchor = anchors >= 0
-                delta = (
-                    (seqs - (anchors & _SEQ_MASK) + _SEQ_HALF) & _SEQ_MASK
-                ) - _SEQ_HALF
-                unwrapped = np.where(known_anchor, anchors + delta, seqs)
-                # Per-batch combined sort keys stay bounded (< 2**17):
-                # anchored members use delta + half, first contacts the
-                # raw sequence + half — both order exactly as `unwrapped`
-                # does within a link segment.
-                relative = np.where(known_anchor, delta, seqs) + _SEQ_HALF
-                combined = links * _LINK_STRIDE + relative
-                new_segment = np.empty(len(links), dtype=bool)
-                new_segment[0] = True
-                np.not_equal(links[1:], links[:-1], out=new_segment[1:])
-                # An anchored link's seed sits at distance 0 (duplicate
-                # of the stored maximum); an unseeded link's sits one
-                # below every possible first-contact key.
-                seeded = links * _LINK_STRIDE + np.where(
-                    known_anchor,
-                    np.int64(_SEQ_HALF),
-                    np.int64(_SEQ_HALF - 1),
+                (
+                    accepted,
+                    accepted_links,
+                    n_duplicate,
+                    n_out_of_order,
+                    n_gap,
+                    n_epoch_wraps,
+                ) = _track_sequences(links, seq[order], self._last_seq)
+                n_accepted = len(accepted)
+                # A misclassified batch raises before the estimator runs.
+                _check_counter_identity(
+                    n_uplinks,
+                    n_accepted,
+                    n_duplicate,
+                    n_out_of_order,
+                    n_unknown,
                 )
-                shifted = np.empty_like(combined)
-                shifted[0] = np.iinfo(np.int64).min
-                shifted[1:] = combined[:-1]
-                # Segment isolation needs no masking: a segment's seed
-                # (>= link*stride + half - 1) always exceeds every
-                # combined key of smaller links, so the global running
-                # max restarts at each segment boundary by construction.
-                highest_before = np.maximum.accumulate(
-                    np.where(new_segment, seeded, shifted)
-                )
-                accepted = combined > highest_before
-                duplicate = combined == highest_before
-                first_contact = (
-                    highest_before == links * _LINK_STRIDE + (_SEQ_HALF - 1)
-                )
-                # Combined-key differences equal unwrapped-sequence
-                # differences within a segment (the link base and the
-                # half shift cancel), so the gap count survives wraps.
-                gaps = np.where(
-                    accepted & ~first_contact,
-                    combined - highest_before - 1,
-                    0,
-                )
-                n_accepted = int(accepted.sum())
-                n_duplicate = int(duplicate.sum())
-                n_out_of_order = len(links) - n_accepted - n_duplicate
-                n_gap = int(gaps.sum())
                 if n_accepted:
-                    accepted_links = links[accepted]
-                    wrap_links = np.unique(accepted_links)
-                    epochs_before = self._last_seq[wrap_links] >> _SEQ_BITS
-                    np.maximum.at(
-                        self._last_seq, accepted_links, unwrapped[accepted]
-                    )
-                    epochs_after = self._last_seq[wrap_links] >> _SEQ_BITS
-                    n_epoch_wraps = int(
-                        (
-                            epochs_after
-                            - np.where(epochs_before >= 0, epochs_before, 0)
-                        ).sum()
-                    )
                     n_updated = self._estimator.apply(
                         self._state,
                         accepted_links,
-                        values[accepted],
+                        snr_db[order[accepted]],
                         now_s=tick_s,
                     )
             self._estimator.decay_stale(self._state, tick_s)
@@ -405,9 +353,24 @@ class TelemetryIngestor:
     # ----------------------------------------------------------- observers
 
     def totals(self) -> Dict[str, int]:
-        """Cumulative per-class uplink counts across all batches."""
+        """Cumulative per-class uplink counts across all batches.
+
+        Raises :class:`TelemetryError` if the counts no longer satisfy
+        ``uplinks == accepted + duplicate + out_of_order + unknown_link``.
+        """
         with self._lock:
-            return dict(self._totals)
+            return self._checked_totals()
+
+    def _checked_totals(self) -> Dict[str, int]:
+        totals = self._totals
+        _check_counter_identity(
+            totals["uplinks"],
+            totals["accepted"],
+            totals["duplicate"],
+            totals["out_of_order"],
+            totals["unknown_link"],
+        )
+        return dict(totals)
 
     def state_snapshot(self) -> Dict[str, object]:
         """JSON-ready fleet-measurement summary (``GET /v1/telemetry/state``).
@@ -434,5 +397,106 @@ class TelemetryIngestor:
                 "base_snr_mean_db": float(base_db.mean()),
                 "mean_abs_innovation_db": innovation_db,
                 "estimator": self._estimator.snapshot(),
-                "totals": dict(self._totals),
+                "totals": self._checked_totals(),
             }
+
+
+def _check_counter_identity(
+    uplinks: int,
+    accepted: int,
+    duplicate: int,
+    out_of_order: int,
+    unknown_link: int,
+) -> None:
+    """Raise unless every uplink was classified exactly once."""
+    classified = accepted + duplicate + out_of_order + unknown_link
+    if uplinks != classified:
+        raise TelemetryError(
+            f"telemetry counters broke uplinks == accepted + duplicate + "
+            f"out_of_order + unknown_link: {uplinks} uplinks, but "
+            f"accepted={accepted}, duplicate={duplicate}, "
+            f"out_of_order={out_of_order}, unknown_link={unknown_link} "
+            f"sum to {classified}"
+        )
+
+
+def _track_sequences(
+    links: np.ndarray, seqs: np.ndarray, last_seq: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, int, int, int, int]:
+    """Classify one link-sorted batch and advance ``last_seq`` in place.
+
+    ``links`` is stably sorted (each link's uplinks keep their arrival
+    order) and ``seqs`` holds the aligned wire sequences. Returns the
+    positions of the accepted uplinks, their links, and the duplicate,
+    out-of-order, gap and epoch-wrap counts. Each class is counted on
+    its own, so the caller's counter check tests the classification. The temporaries die on return, before
+    the estimator runs.
+    """
+    leader = np.empty(len(links), dtype=bool)
+    leader[0] = True
+    np.not_equal(links[1:], links[:-1], out=leader[1:])
+    anchors = last_seq[links]
+    unanchored = anchors < 0
+    # Unwrap each wire sequence against its link's stored unwrapped
+    # maximum (serial arithmetic): the key is the signed 16-bit distance
+    # from that anchor plus half, so a 65535 -> 0 rollover reads as +1,
+    # not -65535. A link never heard from has no anchor and keys its raw
+    # sequence plus half (epoch 0). Keys stay below the link stride.
+    key = anchors & _SEQ_MASK
+    np.subtract(seqs, key, out=key)
+    key += _SEQ_HALF
+    key &= _SEQ_MASK
+    np.add(seqs, _SEQ_HALF, out=key, where=unanchored)
+    seed = links * _LINK_STRIDE
+    combined = seed + key
+    # The highest key seen before each uplink: the previous key, or at a
+    # link's first uplink its seed, which is the anchor's key (distance
+    # 0, so a repeat is a duplicate) or one below every first-contact
+    # key. A seed exceeds every key of smaller links, so one running
+    # maximum over the batch restarts at each link by construction.
+    seed += _SEQ_HALF
+    seed -= unanchored
+    advance = np.empty_like(combined)
+    advance[1:] = combined[:-1]
+    np.copyto(advance, seed, where=leader)
+    del seed
+    np.maximum.accumulate(advance, out=advance)
+    np.subtract(combined, advance, out=advance)
+    del combined
+    accepted = np.flatnonzero(advance > 0)
+    n_duplicate = int(np.count_nonzero(advance == 0))
+    n_out_of_order = int(np.count_nonzero(advance < 0))
+    # Key differences within a link equal unwrapped-sequence differences,
+    # so an accepted uplink skipped advance - 1 sequences (wraps
+    # included). A first contact skipped none: its advance over the seed
+    # is its raw sequence + 1.
+    np.maximum(advance, 0, out=advance)
+    n_gap = (
+        int(advance.sum())
+        - len(accepted)
+        - int(seqs[leader & unanchored].sum())
+    )
+    accepted_links = links[accepted]
+    n_epoch_wraps = 0
+    if len(accepted):
+        # A link's accepted uplinks advance strictly, so the last one of
+        # each run of equal accepted links carries that link's new
+        # maximum.
+        run_end = np.empty(len(accepted), dtype=bool)
+        run_end[-1] = True
+        np.not_equal(accepted_links[1:], accepted_links[:-1], out=run_end[:-1])
+        ends = accepted[run_end]
+        epoch_base = np.maximum(anchors[ends], 0)
+        highest = epoch_base + key[ends] - _SEQ_HALF
+        n_epoch_wraps = int(
+            (highest >> _SEQ_BITS).sum() - (epoch_base >> _SEQ_BITS).sum()
+        )
+        last_seq[links[ends]] = highest
+    return (
+        accepted,
+        accepted_links,
+        n_duplicate,
+        n_out_of_order,
+        n_gap,
+        n_epoch_wraps,
+    )

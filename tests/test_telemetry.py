@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError, TelemetryError
 from repro.fleet import FleetState
@@ -177,6 +178,36 @@ class TestIngestSequenceTracking:
             + totals["out_of_order"] + totals["unknown_link"]
         )
         assert totals["batches"] == 2
+
+    def test_broken_counter_identity_raises(self):
+        ingestor = TelemetryIngestor(make_state(4), SnrEstimator(alpha=1.0))
+        ingestor.ingest(encode([(0, 0, 1.0), (1, 0, 1.0), (0, 0, 1.0)]))
+        ingestor._totals["duplicate"] += 1
+        for read in (ingestor.totals, ingestor.state_snapshot):
+            with pytest.raises(TelemetryError) as exc_info:
+                read()
+            message = str(exc_info.value)
+            for count in ("3 uplinks", "accepted=2", "duplicate=2",
+                          "out_of_order=0", "unknown_link=0"):
+                assert count in message
+
+    def test_misclassified_batch_raises_before_it_is_applied(self, monkeypatch):
+        from repro.telemetry import ingest as ingest_module
+
+        track = ingest_module._track_sequences
+
+        def miscount(*args):
+            classified = list(track(*args))
+            classified[3] += 1  # one out-of-order uplink too many
+            return tuple(classified)
+
+        ingestor = TelemetryIngestor(make_state(4), SnrEstimator(alpha=1.0))
+        monkeypatch.setattr(ingest_module, "_track_sequences", miscount)
+        before = ingestor.state.snr_db.copy()
+        with pytest.raises(TelemetryError, match="out_of_order=1"):
+            ingestor.ingest(encode([(0, 0, 1.0), (1, 0, 1.0)]))
+        assert ingestor.totals()["uplinks"] == 0
+        np.testing.assert_array_equal(ingestor.state.snr_db, before)
 
     def test_oversized_batch_raises(self):
         ingestor = TelemetryIngestor(
@@ -390,3 +421,170 @@ class TestIngestEpochUnwrap:
         assert totals["gap_uplinks"] == 0
         assert totals["epoch_wraps"] == 1
         assert ingestor.state.snr_db[0] == float(10 + ((total - 1) % 7))
+
+
+# ---------------------------------------------------------------- parity
+
+#: Fleet size of the parity cases; ids at and above it are unknown links.
+PARITY_LINKS = 4
+PARITY_START_DB = 15.0
+
+
+def reference_ingest(batches, n_links, alpha, clamp_db):
+    """Per-uplink Python reference of the ingestor: reports, maxima, SNRs.
+
+    Each uplink's wire sequence is unwrapped as the signed 16-bit
+    distance from its link's stored maximum at the start of the batch (a
+    link never heard from uses the raw sequence, epoch 0). It is then
+    accepted (above the highest sequence seen so far), a duplicate (equal
+    to it) or out of order (below it). An accepted uplink is one EWMA
+    step, its value clamped around the link's estimate at the start of
+    the batch.
+    """
+    last = [-1] * n_links
+    snr = [PARITY_START_DB] * n_links
+    decay = 1.0 - alpha
+    reports = []
+    for batch in batches:
+        anchor = list(last)
+        centre = list(snr)
+        report = dict.fromkeys(
+            ("n_accepted", "n_duplicate", "n_out_of_order", "n_gap_uplinks",
+             "n_unknown_link", "n_epoch_wraps"), 0,
+        )
+        updated = set()
+        for link, wire_seq, value in batch:
+            if not 0 <= link < n_links:
+                report["n_unknown_link"] += 1
+                continue
+            seq = wire_seq
+            if anchor[link] >= 0:
+                distance = (wire_seq - anchor[link]) % (1 << 16)
+                if distance >= 1 << 15:
+                    distance -= 1 << 16
+                seq = anchor[link] + distance
+            if seq == last[link]:
+                report["n_duplicate"] += 1
+            elif seq < last[link]:
+                report["n_out_of_order"] += 1
+            else:
+                report["n_accepted"] += 1
+                if last[link] >= 0:  # a link's first contact is no gap
+                    report["n_gap_uplinks"] += seq - last[link] - 1
+                last[link] = seq
+                updated.add(link)
+                if clamp_db is not None:
+                    value = min(max(value, centre[link] - clamp_db),
+                                centre[link] + clamp_db)
+                snr[link] = decay * snr[link] + alpha * value
+        for link in updated:
+            report["n_epoch_wraps"] += (last[link] >> 16) - max(
+                anchor[link] >> 16, 0
+            )
+        report["n_uplinks"] = len(batch)
+        report["n_links_updated"] = len(updated)
+        reports.append(report)
+    return reports, last, snr
+
+
+def assert_ingest_matches_reference(batches, alpha, clamp_db):
+    """Binary and JSON ingest both equal the reference, bit for bit."""
+    want_reports, want_last, want_snr = reference_ingest(
+        batches, PARITY_LINKS, alpha, clamp_db
+    )
+    for json_path in (False, True):
+        ingestor = TelemetryIngestor(
+            make_state(PARITY_LINKS, PARITY_START_DB),
+            SnrEstimator(alpha=alpha, clamp_db=clamp_db),
+        )
+        for batch, want in zip(batches, want_reports):
+            if json_path:
+                report = ingestor.ingest_uplinks(
+                    [{"link_id": link, "seq": seq, "snr_db": value,
+                      "plr": 0.0} for link, seq, value in batch],
+                    template_version=UPLINK_TEMPLATE_EXACT.version,
+                )
+            else:
+                report = ingestor.ingest(
+                    encode(batch, template=UPLINK_TEMPLATE_EXACT)
+                )
+            got = {key: getattr(report, key) for key in want}
+            assert got == want, (json_path, batch)
+        np.testing.assert_array_equal(ingestor._last_seq, want_last)
+        np.testing.assert_array_equal(
+            ingestor.state.snr_db.view(np.int64),
+            np.asarray(want_snr).view(np.int64),
+        )
+        totals = ingestor.totals()
+        assert totals["batches"] == len(batches)
+        for key in ("uplinks", "accepted", "duplicate", "out_of_order",
+                    "gap_uplinks", "unknown_link", "epoch_wraps"):
+            assert totals[key] == sum(r["n_" + key] for r in want_reports)
+
+
+#: Wire sequences crowd both ends of the 16-bit space, so first contacts
+#: near 65535 and 65535 -> 0 rollovers are common.
+_wire_seq = st.one_of(
+    st.integers(0, 5), st.integers(65530, 65535), st.integers(0, 65535)
+)
+#: Link ids include unknown ones; SNRs are eighths of a dB from -20 to
+#: 40 dB, so with alpha in {1, 1/4} and at most 21 accepted uplinks per
+#: link every EWMA step is exact in float64 and any summation order of
+#: the closed form gives the same bits as the per-uplink fold.
+_uplink = st.tuples(
+    st.sampled_from([0, 1, 2, 3, PARITY_LINKS, 200]),
+    _wire_seq,
+    st.integers(-160, 320).map(lambda eighths: eighths / 8),
+)
+
+
+@st.composite
+def _batches(draw):
+    """Up to 3 shuffled batches, each re-sending some earlier uplinks."""
+    batches = []
+    sent = []
+    for _ in range(draw(st.integers(1, 3))):
+        batch = draw(st.lists(_uplink, min_size=1, max_size=5))
+        if sent:
+            batch += draw(st.lists(st.sampled_from(sent), max_size=2))
+        sent += batch
+        batches.append(draw(st.permutations(batch)))
+    return batches
+
+
+class TestIngestParity:
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              database=None)
+    @given(
+        batches=_batches(),
+        alpha=st.sampled_from([1.0, 0.25]),
+        clamp_db=st.sampled_from([None, 2.0]),
+    )
+    def test_matches_per_uplink_reference(self, batches, alpha, clamp_db):
+        assert_ingest_matches_reference(batches, alpha, clamp_db)
+
+    #: Every case the ingestor distinguishes, in arrival order: first
+    #: contacts (links 0 and 2 near the top of the space), within-batch
+    #: duplicates and late uplinks, a cross-batch duplicate, unknown ids,
+    #: a lone 65535 -> 0 wrap (link 0), then a wrap (link 2) sharing a
+    #: batch with a first contact (link 3).
+    SCENARIO = [
+        [(1, 9, 11.0), (0, 65534, 12.5), (1, 7, 30.0), (2, 65533, 13.0),
+         (1, 9, 10.0), (2, 65535, -4.0), (1, 12, 16.0)],
+        [(1, 12, 20.0), (0, 65535, 14.0), (200, 0, 1.0), (1, 10, 2.0),
+         (0, 65535, 3.0), (2, 65534, 9.0), (PARITY_LINKS, 3, 9.0)],
+        [(0, 1, 27.5), (1, 13, 12.0), (0, 0, 0.0)],
+        [(3, 40, 17.0), (2, 2, 18.0), (0, 3, 5.0), (3, 41, -19.0)],
+    ]
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.25])
+    @pytest.mark.parametrize("clamp_db", [None, 2.0])
+    def test_matches_reference_on_every_named_case(self, alpha, clamp_db):
+        reports, _, _ = reference_ingest(
+            self.SCENARIO, PARITY_LINKS, alpha, clamp_db
+        )
+        assert [r["n_epoch_wraps"] for r in reports] == [0, 0, 1, 1]
+        assert all(r["n_duplicate"] for r in reports[:2])
+        assert all(r["n_out_of_order"] for r in reports[:3])
+        assert reports[1]["n_unknown_link"] == 2
+        assert_ingest_matches_reference(self.SCENARIO, alpha, clamp_db)
